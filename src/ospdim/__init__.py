@@ -2,6 +2,8 @@
 tensor representations of orthosymplectic Lie superalgebras, with
 correspondence checks against classical orthogonal and symplectic groups."""
 
+__version__ = "0.1.0"
+
 from .partitions import (
     FrobeniusForm,
     Partition,
@@ -43,5 +45,3 @@ from .characters import (
     spinor_tdim,
     verify_correspondence,
 )
-
-__version__ = "0.1.0"

@@ -1,7 +1,7 @@
 """t-graded dimension and superdimension series for spinor-like
 representations, plus the correspondence checks between them.
 
-Every series here is exact: coefficients are integers (stored as Fractions)
+Every series here is exact: coefficients are integers (read back as Fractions)
 obtained from branching sums over constrained partition families or from
 closed-form rational expressions.  All series are normalized so that the
 lowest-weight prefactor is dropped and the constant term is the dimension of
@@ -31,7 +31,7 @@ from .series import DEFAULT_ORDER, TruncatedSeries, polynomial
 def _series_from_weights(pairs, order: int) -> TruncatedSeries:
     """Accumulate (exponent, integer) pairs into a series, skipping terms
     beyond the order."""
-    coeffs = [Fraction(0)] * (order + 1)
+    coeffs = [0] * (order + 1)
     for exp, val in pairs:
         if exp <= order:
             coeffs[exp] += val

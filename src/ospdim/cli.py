@@ -1,8 +1,9 @@
 """Command line interface.
 
 Exit codes: 0 on success and on all-match verdicts, 1 when a verification
-reports a mismatch, 2 for usage errors (click's default).  The default
-truncation order can be set with the OSPDIM_ORDER environment variable.
+reports a mismatch, 2 for usage errors (click's default), including a sweep
+whose ranges give nothing to check.  The default truncation order can be set
+with the OSPDIM_ORDER environment variable.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import sys
 
 import click
 
+from . import __version__
 from .characters import (
     CASES,
     IrrepSpec,
@@ -35,8 +37,10 @@ from .selftest import run_selftest
 FORMATS = click.Choice(["text", "json", "csv"])
 
 
-def _resolve_order(order: int | None) -> int:
+def _resolve_order(order: int | None, default: int = DEFAULT_ORDER) -> int:
     if order is not None:
+        if order < 0:
+            raise click.UsageError("--order must be non-negative")
         return order
     env = os.environ.get("OSPDIM_ORDER")
     if env is not None:
@@ -47,7 +51,7 @@ def _resolve_order(order: int | None) -> int:
         if value < 0:
             raise click.UsageError("OSPDIM_ORDER must be non-negative")
         return value
-    return DEFAULT_ORDER
+    return default
 
 
 def _parse_partition(text: str | None, flag: str) -> Partition:
@@ -72,7 +76,7 @@ def _series_csv(series: TruncatedSeries) -> str:
 
 
 @click.group()
-@click.version_option(package_name="ospdim")
+@click.version_option(version=__version__, prog_name="ospdim")
 def main():
     """Exact t-graded dimensions and superdimensions of spinor-like
     representations, and the correspondences between them."""
@@ -250,9 +254,7 @@ def verify(case, m, n, k, p, order, fmt):
 @click.option("--format", "fmt", type=FORMATS, default="text", show_default=True)
 def sweep(case, k_max, p_max, free_count, order, fmt):
     """Run a correspondence over parameter ranges; exit 1 on any mismatch."""
-    if order is None:
-        env = os.environ.get("OSPDIM_ORDER")
-        order = int(env) if env is not None else 12
+    order = _resolve_order(order, default=12)
     cases = list(CASES) if case == "all" else [case]
     rows = []
     mismatches = 0
@@ -271,6 +273,8 @@ def sweep(case, k_max, p_max, free_count, order, fmt):
                     report = verify_correspondence(c, k=k, p=p, order=order, **{free: v})
                     rows.append((c, {"k": k, "p": p, free: v}, report))
                     mismatches += not report.match
+    if not rows:
+        raise click.UsageError("the parameter ranges give no combinations to check")
     if fmt == "json":
         click.echo(
             json.dumps(

@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from click.testing import CliRunner
 
 import ospdim.cli as cli_mod
@@ -213,6 +214,18 @@ class TestSweep:
         assert result.exit_code == 0
         assert "0 mismatch(es)" in result.output
 
+    def test_negative_order_is_usage_error(self):
+        result = run("sweep", "--case", "d21-vs-so2", "--p-max", "1", "--order", "-1")
+        assert result.exit_code == 2
+        assert "--order must be non-negative" in result.output
+
+    def test_nothing_to_check_is_usage_error(self):
+        result = run("sweep", "--case", "ospD-vs-soEven", "--k-max", "1")
+        assert result.exit_code == 2
+        assert "no combinations to check" in result.output
+        result = run("sweep", "--case", "d21-vs-so2", "--p-max", "0", "--format", "json")
+        assert result.exit_code == 2
+
 
 class TestSelftest:
     def test_passes_and_is_deterministic(self):
@@ -271,3 +284,37 @@ class TestOrderEnv:
             env={"OSPDIM_ORDER": "5"},
         )
         assert "order 5" in result.output
+
+    def test_sweep_default_order_is_twelve(self):
+        result = run("sweep", "--case", "d21-vs-so2", "--p-max", "1", env={"OSPDIM_ORDER": None})
+        assert result.exit_code == 0
+        assert "order 12" in result.output
+
+    def test_bad_env_is_usage_error_for_sweep(self):
+        for value in ("abc", "-3"):
+            result = run(
+                "sweep", "--case", "d21-vs-so2", "--p-max", "1",
+                env={"OSPDIM_ORDER": value},
+            )
+            assert result.exit_code == 2
+            assert "OSPDIM_ORDER" in result.output
+
+
+class TestVersion:
+    def test_version_comes_from_the_package(self):
+        import ospdim
+
+        result = run("--version")
+        assert result.exit_code == 0
+        assert result.output == f"ospdim, version {ospdim.__version__}\n"
+
+    def test_package_and_project_versions_agree(self):
+        from pathlib import Path
+
+        import ospdim
+
+        tomllib = pytest.importorskip("tomllib")
+
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        with pyproject.open("rb") as fh:
+            assert tomllib.load(fh)["project"]["version"] == ospdim.__version__

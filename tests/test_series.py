@@ -197,3 +197,12 @@ class TestSerialization:
     def test_schema_shape(self):
         d = polynomial([1, Fraction(1, 3)], 2).to_json_dict()
         assert d == {"order": 2, "coeffs": ["1", "1/3", "0"]}
+
+    def test_from_json_rejects_malformed(self):
+        for bad in (
+            {"order": 5, "coeffs": ["1"]},
+            {"order": 1, "coeffs": ["1", "2", "3"]},
+            {"order": -1, "coeffs": []},
+        ):
+            with pytest.raises(ValueError):
+                TruncatedSeries.from_json_dict(bad)
