@@ -17,24 +17,38 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+# enum_D and enum_partitions stay importable here for bench/layertrace.py
 from .partitions import (
-    Partition,
+    Stream,
+    conjugate_parts,
+    doubled_tuples,
     enum_B,
     enum_D,
     enum_offset_forms,
     enum_partitions,
+    evened_tuples,
+    partition_tuples,
 )
-from .schur import dim_gl_frobenius, dim_gl_weyl, sdim_gl, super_schur_eval
+from .schur import dim_gl_frobenius, super_schur_eval, weyl_product
 from .series import DEFAULT_ORDER, TruncatedSeries, polynomial
 
 
-def _series_from_weights(pairs, order: int) -> TruncatedSeries:
-    """Accumulate (exponent, integer) pairs into a series, skipping terms
-    beyond the order."""
+def _branching_sum(
+    order: int, rank: int, stream: Stream, *, transpose: bool = False,
+    signed: bool = False, head: int | None = None,
+) -> TruncatedSeries:
+    """Add the gl(rank) dimension of each shape of a (parts, weight) stream
+    bounded by weight <= order at t^weight.  The shape is the conjugate of
+    parts with transpose, with an extra first row head when one is given;
+    signed negates odd weights."""
     coeffs = [0] * (order + 1)
-    for exp, val in pairs:
-        if exp <= order:
-            coeffs[exp] += val
+    for parts, weight in stream:
+        if transpose:
+            parts = conjugate_parts(parts)
+        if head is not None:
+            parts = (head,) + parts
+        dim = weyl_product(rank, parts)
+        coeffs[weight] += -dim if signed and weight % 2 else dim
     return TruncatedSeries(coeffs, order)
 
 
@@ -48,16 +62,12 @@ def osp1_numerator(n: int, p: int, order: int = DEFAULT_ORDER) -> TruncatedSerie
     """
     if n < 0 or p < 0:
         raise ValueError("n and p must be non-negative")
-
-    def terms():
-        for form, sign in enum_offset_forms(n, p):
-            exp = 2 * sum(form.arms) + (p + 1) * form.rank
-            if form.rank == 0:
-                yield exp, sign
-            else:
-                yield exp, sign * dim_gl_frobenius(n, form)
-
-    return _series_from_weights(terms(), order)
+    coeffs = [0] * (order + 1)
+    for form, sign in enum_offset_forms(n, p):
+        exp = 2 * sum(form.arms) + (p + 1) * form.rank
+        if exp <= order:
+            coeffs[exp] += sign * dim_gl_frobenius(n, form) if form.rank else sign
+    return TruncatedSeries(coeffs, order)
 
 
 def osp1_dim_t(
@@ -76,13 +86,7 @@ def osp1_dim_t(
     if p < 0:
         raise ValueError("p must be non-negative")
     if route == "sum":
-        return _series_from_weights(
-            (
-                (lam.weight, dim_gl_weyl(n, lam))
-                for lam in enum_partitions(order, None, min(n, p))
-            ),
-            order,
-        )
+        return _branching_sum(order, n, partition_tuples(order, None, min(n, p)))
     if route == "closed":
         den = polynomial([1, -1], order) ** n * polynomial([1, 0, -1], order) ** (
             n * (n - 1) // 2
@@ -102,12 +106,9 @@ def ospB_sdim_t(m: int, n: int, p: int, order: int = DEFAULT_ORDER) -> Truncated
     if m < 0 or n < 0 or p < 0:
         raise ValueError("m, n and p must be non-negative")
     if m >= n:
-        lams = enum_partitions(order, p, m - n)
-    else:
-        lams = enum_partitions(order, min(p, n - m), None)
-    return _series_from_weights(
-        ((lam.weight, sdim_gl(m, n, lam)) for lam in lams), order
-    )
+        return _branching_sum(order, m - n, partition_tuples(order, p, m - n))
+    stream = partition_tuples(order, min(p, n - m), None)
+    return _branching_sum(order, n - m, stream, transpose=True, signed=True)
 
 
 def so_odd_dim_t(k: int, p: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
@@ -118,13 +119,7 @@ def so_odd_dim_t(k: int, p: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
         raise ValueError("k must be at least 1")
     if p < 0:
         raise ValueError("p must be non-negative")
-    return _series_from_weights(
-        (
-            (lam.weight, dim_gl_weyl(k, lam))
-            for lam in enum_partitions(min(order, k * p), p, k)
-        ),
-        order,
-    )
+    return _branching_sum(order, k, partition_tuples(order, p, k))
 
 
 def ospD_sdim_t(m: int, n: int, p: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
@@ -134,12 +129,9 @@ def ospD_sdim_t(m: int, n: int, p: int, order: int = DEFAULT_ORDER) -> Truncated
     if m < 0 or n < 0 or p < 0:
         raise ValueError("m, n and p must be non-negative")
     if m >= n:
-        lams = enum_B(order, p, m - n)
-    else:
-        lams = enum_B(order, min(p, n - m), None)
-    return _series_from_weights(
-        ((lam.weight, sdim_gl(m, n, lam)) for lam in lams), order
-    )
+        return _branching_sum(order, m - n, doubled_tuples(order, p, m - n))
+    stream = doubled_tuples(order, min(p, n - m), None)
+    return _branching_sum(order, n - m, stream, transpose=True, signed=True)
 
 
 def so_even_dim_t(
@@ -161,19 +153,10 @@ def so_even_dim_t(
         raise ValueError("p must be non-negative")
     if chirality not in ("last", "next_to_last"):
         raise ValueError(f"unknown chirality {chirality!r}")
-    plain = (chirality == "last") == (k % 2 == 0)
-    if plain:
-        max_len = k if k % 2 == 0 else k - 1
-        pairs = (
-            (lam.weight, dim_gl_weyl(k, lam)) for lam in enum_B(order, p, max_len)
-        )
-    else:
-        max_len = k - 2 if k % 2 == 0 else k - 1
-        pairs = (
-            (lam.weight, dim_gl_weyl(k, Partition((p,) + lam.parts)))
-            for lam in enum_B(order, p, max_len)
-        )
-    return _series_from_weights(pairs, order)
+    # at most k rows, or k - 1 under the head row; doubling rounds both down
+    if (chirality == "last") == (k % 2 == 0):
+        return _branching_sum(order, k, doubled_tuples(order, p, k))
+    return _branching_sum(order, k, doubled_tuples(order, p, k - 1), head=p)
 
 
 def sp_dim_t(k: int, p: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
@@ -185,13 +168,7 @@ def sp_dim_t(k: int, p: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
         raise ValueError("k must be at least 1")
     if p < 0:
         raise ValueError("p must be non-negative")
-    return _series_from_weights(
-        (
-            (lam.weight, dim_gl_weyl(k, lam))
-            for lam in enum_D(order, min(p, k))
-        ),
-        order,
-    )
+    return _branching_sum(order, k, evened_tuples(order, min(p, k)))
 
 
 def spinor_tdim(m: int, n: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
@@ -526,6 +503,8 @@ def cummins_king_check(
     """
     if m < 0 or n < 0:
         raise ValueError("m and n must be non-negative")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     rng = random.Random(seed)
     for trial in range(trials):
         xs = [_random_nonzero_fraction(rng) for _ in range(m)]

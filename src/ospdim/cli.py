@@ -1,9 +1,17 @@
 """Command line interface.
 
-Exit codes: 0 on success and on all-match verdicts, 1 when a verification
-reports a mismatch, 2 for usage errors (click's default), including a sweep
-whose ranges give nothing to check.  The default truncation order can be set
-with the OSPDIM_ORDER environment variable.
+Exit codes:
+
+0  success, and an all-match verdict
+1  a verification reports a mismatch, and nothing else
+2  usage error (click's default), including a sweep whose ranges give
+   nothing to check
+3  internal error: any other uncaught exception, reported as one
+   "internal error: ..." line on stderr
+
+Called with standalone_mode=False, as a library caller or test harness does,
+the group lets every exception propagate unchanged.  The default truncation
+order can be set with the OSPDIM_ORDER environment variable.
 """
 
 from __future__ import annotations
@@ -75,7 +83,21 @@ def _series_csv(series: TruncatedSeries) -> str:
     return "\n".join(lines)
 
 
-@click.group()
+class _Group(click.Group):
+    """A group that maps an uncaught non-click exception to exit code 3 in
+    standalone mode, so a crash never reads as a mismatch."""
+
+    def main(self, *args, standalone_mode: bool = True, **kwargs):
+        try:
+            return super().main(*args, standalone_mode=standalone_mode, **kwargs)
+        except Exception as exc:
+            if not standalone_mode:
+                raise
+            click.echo(f"internal error: {exc!r}", err=True)
+            sys.exit(3)
+
+
+@click.group(cls=_Group)
 @click.version_option(version=__version__, prog_name="ospdim")
 def main():
     """Exact t-graded dimensions and superdimensions of spinor-like

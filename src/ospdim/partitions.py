@@ -3,14 +3,22 @@ used by the character sums.
 
 A partition is stored as a weakly decreasing tuple of positive parts; trailing
 zeros are stripped on construction, so the zero partition is the empty tuple.
-All enumerators yield partitions in weight-ascending order and, within a fixed
-weight, in lexicographically descending order.  Unbounded constraints are
-passed as None, never as a large magic integer.
+
+One non-recursive depth-first enumerator, `partition_tuples`, walks the tree
+in which a partition's children append one part no larger than its last.  It
+yields raw `(parts, weight)` tuples in pre-order, larger next parts first, so
+within a fixed weight the stream is lexicographically descending but weights
+interleave.  The even-multiplicity and even-part families are its doubled and
+evened images (`doubled_tuples`, `evened_tuples`).  Only the public `enum_*`
+functions promise weight-ascending order: they sort that stream stably by
+weight and wrap each tuple in a `Partition`.  Unbounded constraints are passed
+as None, never as a large magic integer; a negative bound raises ValueError.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 
@@ -78,18 +86,9 @@ class Partition:
         return "(" + ",".join(map(str, self._parts)) + ")" if self._parts else "(0)"
 
     def conjugate(self) -> "Partition":
-        """Reflect the diagram along the main diagonal.
-
-        The j-th conjugate part counts the parts of size at least j+1
-        (0-based), i.e. the height of column j+1.
-        """
-        if not self._parts:
-            return Partition()
-        cols = [0] * self._parts[0]
-        for p in self._parts:
-            for j in range(p):
-                cols[j] += 1
-        return Partition(cols)
+        """Reflect the diagram along the main diagonal: the j-th conjugate
+        part (0-based) is the height of column j+1."""
+        return Partition(conjugate_parts(self._parts))
 
     def contains(self, other: "Partition") -> bool:
         """Diagram containment: other[i] <= self[i] for every row."""
@@ -183,22 +182,69 @@ class FrobeniusForm:
         return Partition(rows)
 
 
-def _exact_partitions(
-    weight: int, max_part: int | None, max_len: int | None
-) -> Iterator[tuple[int, ...]]:
-    """All partitions of the exact weight within the box, lex-descending."""
-    if weight == 0:
-        yield ()
-        return
-    if max_len is not None and max_len <= 0:
-        return
-    hi = weight if max_part is None else min(weight, max_part)
-    # smallest admissible first part: the rest must fit in max_len rows
-    lo = 1 if max_len is None else -(-weight // max_len)
-    for first in range(hi, lo - 1, -1):
-        rest_len = None if max_len is None else max_len - 1
-        for rest in _exact_partitions(weight - first, first, rest_len):
-            yield (first,) + rest
+def conjugate_parts(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """Conjugate of a weakly decreasing tuple of positive parts: entry j
+    counts the parts larger than j."""
+    out = []
+    rows = len(parts)
+    for j in range(parts[0] if parts else 0):
+        while parts[rows - 1] <= j:
+            rows -= 1
+        out.append(rows)
+    return tuple(out)
+
+
+Stream = Iterator[tuple[tuple[int, ...], int]]
+
+
+def partition_tuples(
+    max_weight: int, max_part: int | None = None, max_len: int | None = None
+) -> Stream:
+    """All (parts, weight) with weight <= max_weight, parts[0] <= max_part
+    and len(parts) <= max_len, in depth-first pre-order with larger next
+    parts first.  The bounds are checked on the call, not on first use."""
+    for name, bound in (("max_part", max_part), ("max_len", max_len), ("max_weight", max_weight)):
+        if bound is not None and bound < 0:
+            raise ValueError(f"{name} must be non-negative, got {bound}")
+    part_cap = max_weight if max_part is None else max_part
+    len_cap = max_weight if max_len is None else max_len
+    return _preorder(max_weight, part_cap, len_cap)
+
+
+def _preorder(max_weight: int, part_cap: int, len_cap: int) -> Stream:
+    # a node's children are pushed smallest part first, so the largest pops first
+    stack = [((), 0)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        node = pop()
+        yield node
+        parts, weight = node
+        if len(parts) < len_cap:
+            top = min(parts[-1] if parts else part_cap, max_weight - weight)
+            for c in range(1, top + 1):
+                push((parts + (c,), weight + c))
+
+
+def doubled_tuples(
+    max_weight: int, max_part: int | None = None, max_len: int | None = None
+) -> Stream:
+    """The even-multiplicity family: (c1, c1, c2, c2, ...) for every
+    (c1, c2, ...) of half the weight and half the length bound."""
+    half_len = None if max_len is None else max_len // 2
+    stream = partition_tuples(max_weight // 2, max_part, half_len)
+    return ((tuple(chain.from_iterable(zip(mu, mu))), 2 * w) for mu, w in stream)
+
+
+def evened_tuples(max_weight: int, max_len: int | None = None) -> Stream:
+    """The even-part family: (2 c1, 2 c2, ...) for every (c1, c2, ...) of
+    half the weight."""
+    stream = partition_tuples(max_weight // 2, None, max_len)
+    return ((tuple(2 * c for c in mu), 2 * w) for mu, w in stream)
+
+
+def _by_weight(stream: Stream) -> Iterator[Partition]:
+    for parts, _ in sorted(stream, key=itemgetter(1)):
+        yield Partition(parts)
 
 
 def enum_partitions(
@@ -206,44 +252,31 @@ def enum_partitions(
 ) -> Iterator[Partition]:
     """All partitions with |lambda| <= max_weight, lambda_1 <= max_part and
     length <= max_len, weight-ascending then lex-descending."""
-    for w in range(max_weight + 1):
-        for t in _exact_partitions(w, max_part, max_len):
-            yield Partition(t)
+    return _by_weight(partition_tuples(max_weight, max_part, max_len))
 
 
 def enum_rectangle(max_part: int, max_len: int) -> Iterator[Partition]:
     """All partitions fitting in a max_len x max_part rectangle.
 
     The stream is finite with exactly binomial(max_part + max_len, max_len)
-    members.
+    members.  A negative side raises ValueError, as a negative bound does.
     """
-    if max_part < 0 or max_len < 0:
-        raise ValueError("rectangle sides must be non-negative")
     return enum_partitions(max_part * max_len, max_part, max_len)
 
 
 def enum_B(
     max_weight: int, max_part: int | None = None, max_len: int | None = None
 ) -> Iterator[Partition]:
-    """Partitions in which every part value occurs with even multiplicity.
-
-    Such a partition is a vertical doubling (c_1, c_1, c_2, c_2, ...) of an
-    arbitrary partition (c_1, c_2, ...), so all weights are even.
-    """
-    half_len = None if max_len is None else max_len // 2
-    for mu in enum_partitions(max_weight // 2, max_part, half_len):
-        doubled = []
-        for c in mu:
-            doubled.append(c)
-            doubled.append(c)
-        yield Partition(doubled)
+    """Partitions in which every part value occurs with even multiplicity:
+    the vertical doublings (c_1, c_1, c_2, c_2, ...) of arbitrary partitions
+    (c_1, c_2, ...), so all weights are even."""
+    return _by_weight(doubled_tuples(max_weight, max_part, max_len))
 
 
 def enum_D(max_weight: int, max_len: int | None = None) -> Iterator[Partition]:
     """Partitions whose parts are all even: the conjugates of the even-
     multiplicity family."""
-    for mu in enum_partitions(max_weight // 2, None, max_len):
-        yield Partition(tuple(2 * c for c in mu))
+    return _by_weight(evened_tuples(max_weight, max_len))
 
 
 def enum_offset_forms(n: int, p: int) -> Iterator[tuple[FrobeniusForm, int]]:

@@ -4,37 +4,48 @@ coefficients and exact Schur polynomial evaluation.
 The three gl(n) dimension formulas (Weyl product, hook-content, Frobenius
 coordinates) are kept as genuinely separate code paths so they can be played
 against each other in tests; none of them is defined in terms of another.
+The Weyl product is memoized per process on (n, parts), since the branching
+sums on both sides of a correspondence ask for the same few gl(n) dimensions
+many times over; the hook-content and Frobenius formulas stay uncached.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import factorial
 from typing import Mapping, Sequence
 
 from .partitions import FrobeniusForm, Partition, subpartitions
 
 
-def dim_gl_weyl(n: int, lam: Partition) -> int:
-    """Dimension of the gl(n) irrep with highest weight lam, as the Weyl
-    product over pairs i < j of (lam_i - lam_j + j - i)/(j - i).
-
-    The weight is padded with zeros to length n; a partition longer than n
-    rows is not a gl(n) highest weight and gives 0.
-    """
-    if n <= 0:
-        raise ValueError("n must be positive")
-    if len(lam) > n:
+@cache
+def weyl_product(n: int, parts: tuple[int, ...]) -> int:
+    """Dimension of the gl(n) irrep with highest weight parts, n >= 0, as
+    prod_{i<j} (l_i - l_j)/(j - i) over the shifted sequence
+    l_i = lambda_i + n - i.  A shape longer than n rows gives 0, so gl(0)
+    has dimension 1 on the empty shape and 0 on every other."""
+    if len(parts) > n:
         return 0
+    shifted = [a + n - 1 - i for i, a in enumerate(parts + (0,) * (n - len(parts)))]
     num = 1
     den = 1
-    for i in range(n):
+    for i, li in enumerate(shifted):
         for j in range(i + 1, n):
-            num *= lam[i] - lam[j] + j - i
+            num *= li - shifted[j]
             den *= j - i
     q, r = divmod(num, den)
-    assert r == 0, f"Weyl product for {lam!r}, n={n} did not divide evenly"
+    assert r == 0, f"Weyl product for {parts}, n={n} did not divide evenly"
     return q
+
+
+def dim_gl_weyl(n: int, lam: Partition) -> int:
+    """Dimension of the gl(n) irrep with highest weight lam, n >= 1, by the
+    memoized Weyl product; a partition longer than n rows is not a gl(n)
+    highest weight and gives 0."""
+    if n <= 0:
+        raise ValueError("n must be positive")
+    return weyl_product(n, lam.parts)
 
 
 def dim_gl_hook(n: int, lam: Partition) -> int:
@@ -100,13 +111,9 @@ def sdim_gl(m: int, n: int, lam: Partition) -> int:
     if m < 0 or n < 0:
         raise ValueError("m and n must be non-negative")
     if m >= n:
-        k = m - n
-        if k == 0:
-            return 1 if lam.weight == 0 else 0
-        return dim_gl_weyl(k, lam)
-    k = n - m
+        return weyl_product(m - n, lam.parts)
     sign = -1 if lam.weight % 2 else 1
-    return sign * dim_gl_weyl(k, lam.conjugate())
+    return sign * weyl_product(n - m, lam.conjugate().parts)
 
 
 # -- Littlewood-Richardson coefficients -------------------------------------

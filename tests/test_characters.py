@@ -469,6 +469,12 @@ class TestCumminsKing:
         with pytest.raises(ValueError):
             cummins_king_check(-1, 1)
 
+    def test_rejects_a_check_of_no_trials(self):
+        # a run that checks nothing must not report a match
+        for trials in (0, -1):
+            with pytest.raises(ValueError):
+                cummins_king_check(1, 1, 4, trials=trials)
+
 
 class TestIrrepSpec:
     def test_algebra_names(self):

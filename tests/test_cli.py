@@ -318,3 +318,34 @@ class TestVersion:
         pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
         with pyproject.open("rb") as fh:
             assert tomllib.load(fh)["project"]["version"] == ospdim.__version__
+
+
+class TestInternalErrors:
+    @staticmethod
+    def broken(*args, **kwargs):
+        raise RuntimeError("broken builder")
+
+    def test_crash_exits_three_with_one_stderr_line(self, monkeypatch):
+        monkeypatch.setattr(cli_mod, "so_odd_dim_t", self.broken)
+        result = run("series", "--family", "soOdd", "--k", "2", "--p", "1")
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == ["internal error: RuntimeError('broken builder')"]
+
+    def test_crash_in_verify_is_not_a_mismatch(self, monkeypatch):
+        monkeypatch.setattr(cli_mod, "verify_correspondence", self.broken)
+        result = run("verify", "--case", "ospB-vs-soOdd", "--k", "2", "--p", "1")
+        assert result.exit_code == 3
+        assert "internal error" in result.stderr
+
+    def test_exceptions_propagate_without_standalone_mode(self, monkeypatch):
+        error = RuntimeError("broken builder")
+
+        def broken(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli_mod, "so_odd_dim_t", broken)
+        args = ["series", "--family", "soOdd", "--k", "2", "--p", "1"]
+        with pytest.raises(RuntimeError) as info:
+            CliRunner().invoke(main, args, standalone_mode=False, catch_exceptions=False)
+        assert info.value is error

@@ -1,0 +1,120 @@
+"""Property-based tests of partitions and their enumerators: conjugation,
+Frobenius coordinates, closed-form counts, and the raw depth-first
+enumerator against the public weight-ordered one and a brute force."""
+
+from math import comb
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from ospdim.partitions import (  # noqa: E402
+    FrobeniusForm,
+    Partition,
+    doubled_tuples,
+    enum_B,
+    enum_D,
+    enum_offset_forms,
+    enum_partitions,
+    enum_rectangle,
+    evened_tuples,
+    partition_tuples,
+)
+
+CHECKS = settings(max_examples=60, deadline=None)
+
+partitions = st.lists(st.integers(0, 9), max_size=9).map(
+    lambda xs: Partition(sorted(xs, reverse=True))
+)
+bounds = st.one_of(st.none(), st.integers(0, 7))
+
+
+@st.composite
+def frobenius_forms(draw):
+    rank = draw(st.integers(0, 5))
+    arms = draw(st.sets(st.integers(0, 8), min_size=rank, max_size=rank))
+    legs = draw(st.sets(st.integers(0, 8), min_size=rank, max_size=rank))
+    return FrobeniusForm(sorted(arms, reverse=True), sorted(legs, reverse=True))
+
+
+def brute_force(max_weight, max_part, max_len):
+    """Every partition of weight <= max_weight, as a set of tuples, built by
+    splitting off the largest part, then filtered by the bounds."""
+
+    def exact(w, cap):
+        if w == 0:
+            return [()]
+        return [(a,) + rest for a in range(min(w, cap), 0, -1) for rest in exact(w - a, a)]
+
+    return {
+        t
+        for w in range(max_weight + 1)
+        for t in exact(w, w)
+        if (max_part is None or not t or t[0] <= max_part)
+        and (max_len is None or len(t) <= max_len)
+    }
+
+
+@CHECKS
+@given(partitions)
+def test_conjugation_is_an_involution(lam):
+    assert lam.conjugate().conjugate() == lam
+    assert lam.conjugate().weight == lam.weight
+
+
+@CHECKS
+@given(partitions)
+def test_partition_frobenius_round_trip(lam):
+    assert lam.frobenius().to_partition() == lam
+
+
+@CHECKS
+@given(frobenius_forms())
+def test_form_partition_round_trip(form):
+    lam = form.to_partition()
+    assert lam.frobenius() == form
+    assert lam.weight == form.weight
+
+
+@CHECKS
+@given(st.integers(0, 6), st.integers(0, 6))
+def test_rectangle_count_is_binomial(a, b):
+    assert sum(1 for _ in enum_rectangle(a, b)) == comb(a + b, b)
+
+
+@CHECKS
+@given(st.integers(0, 9), st.integers(0, 9))
+def test_offset_form_count_is_power_of_two(n, p):
+    assert sum(1 for _ in enum_offset_forms(n, p)) == 2 ** max(n - p, 0)
+
+
+@CHECKS
+@given(st.integers(0, 9))
+def test_conjugation_maps_B_onto_D(w):
+    bs = [lam.conjugate() for lam in enum_B(2 * w)]
+    ds = list(enum_D(2 * w))
+    assert len(bs) == len(set(bs)) == len(ds)
+    assert set(bs) == set(ds)
+
+
+@CHECKS
+@given(st.integers(0, 12), bounds, bounds)
+def test_raw_enumerator_matches_enum_partitions(w, a, b):
+    raw = list(partition_tuples(w, a, b))
+    parts = [t for t, _ in raw]
+    assert len(parts) == len(set(parts))
+    assert all(weight == sum(t) for t, weight in raw)
+    assert set(parts) == {lam.parts for lam in enum_partitions(w, a, b)}
+    assert set(parts) == brute_force(w, a, b)
+
+
+@CHECKS
+@given(st.integers(0, 14), bounds, bounds)
+def test_doubled_and_evened_images_match_B_and_D(w, a, b):
+    doubled = [t for t, _ in doubled_tuples(w, a, b)]
+    assert len(doubled) == len(set(doubled))
+    assert set(doubled) == {lam.parts for lam in enum_B(w, a, b)}
+    evened = [t for t, _ in evened_tuples(w, b)]
+    assert len(evened) == len(set(evened))
+    assert set(evened) == {lam.parts for lam in enum_D(w, b)}

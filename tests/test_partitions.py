@@ -6,11 +6,14 @@ import pytest
 from ospdim.partitions import (
     FrobeniusForm,
     Partition,
+    doubled_tuples,
     enum_B,
     enum_D,
     enum_offset_forms,
     enum_partitions,
     enum_rectangle,
+    evened_tuples,
+    partition_tuples,
     subpartitions,
 )
 
@@ -311,3 +314,32 @@ class TestSubpartitions:
     def test_max_len(self):
         lam = Partition([3, 2, 2, 1])
         assert all(len(mu) <= 2 for mu in subpartitions(lam, max_len=2))
+
+
+class TestNegativeBounds:
+    def test_every_enumerator_rejects_a_negative_bound(self):
+        calls = [
+            lambda: enum_partitions(-1),
+            lambda: enum_partitions(3, -1),
+            lambda: enum_partitions(3, None, -1),
+            lambda: enum_B(-2),
+            lambda: enum_B(4, -1),
+            lambda: enum_B(4, None, -1),
+            lambda: enum_D(-2),
+            lambda: enum_D(4, -1),
+            lambda: partition_tuples(-1),
+            lambda: partition_tuples(3, -1),
+            lambda: partition_tuples(3, None, -1),
+            lambda: doubled_tuples(4, None, -1),
+            lambda: evened_tuples(4, -1),
+        ]
+        for call in calls:
+            # raised on the call itself, before the stream is consumed
+            with pytest.raises(ValueError):
+                call()
+
+    def test_zero_bounds_still_give_the_empty_partition(self):
+        assert list(enum_partitions(3, 0)) == [Partition()]
+        assert list(enum_partitions(3, None, 0)) == [Partition()]
+        assert list(enum_partitions(0)) == [Partition()]
+        assert list(partition_tuples(0)) == [((), 0)]
