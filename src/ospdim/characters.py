@@ -8,6 +8,14 @@ lowest-weight prefactor is dropped and the constant term is the dimension of
 the bottom graded piece.  Series use the +t grading; identities that need
 t -> -t apply substitute_neg_t explicitly at the comparison site, never
 inside a builder.
+
+Two tables name everything the package can build and check.  FAMILIES has
+one row per family: its parameters with their lower bounds, its algebra and
+Dynkin-label text, and the series builder of each of its routes.  CASES has
+one row per correspondence: its required parameters with their lower
+bounds, its free rank parameter, and how each of its two sides is computed.
+IrrepSpec, verify_correspondence and the command line read these tables, so
+a new family or case is one new row.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 # enum_D and enum_partitions stay importable here for bench/layertrace.py
 from .partitions import (
@@ -224,27 +232,84 @@ def d21_sdim_closed(p: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     )
 
 
-# -- irrep specifications and reports ----------------------------------------
+# -- the family table and irrep specifications -------------------------------
+# Rows look builders up by module global at call time, so a patched builder runs.
 
-FAMILIES = ("gl", "glsuper", "osp1", "ospB", "ospD", "soOdd", "soEven", "sp", "d21", "spinor")
 
-_REQUIRED = {
-    "gl": ("n", "lam"),
-    "glsuper": ("m", "n", "lam"),
-    "osp1": ("n", "p"),
-    "ospB": ("m", "n", "p"),
-    "ospD": ("m", "n", "p"),
-    "soOdd": ("k", "p"),
-    "soEven": ("k", "p"),
-    "sp": ("k", "p"),
-    "d21": ("p",),
-    "spinor": ("m", "n"),
+def _young(lam: tuple[int, ...]) -> str:
+    return "(" + ",".join(map(str, lam)) + ")" if lam else "(0)"
+
+
+def _dynkin(rank: int, *tail) -> str:
+    """The Dynkin label [0,...,0,*tail] with rank entries."""
+    return "[" + ",".join(["0"] * (rank - len(tail)) + [str(x) for x in tail]) + "]"
+
+
+class Family(NamedTuple):
+    """One row of the family table.  params maps each parameter, in the
+    order a missing one is reported, to its lower bound, its allowed values
+    or None (any partition); routes maps each route name to its series
+    builder, the first route being the default, and is empty for a family
+    without a series."""
+
+    params: dict[str, int | tuple[str, ...] | None]
+    algebra: Callable[[IrrepSpec], str]
+    label: Callable[[IrrepSpec], str]
+    routes: dict[str, Callable[[IrrepSpec, int], TruncatedSeries]]
+
+
+# the so(2k) chiralities; osp(2m|2n) with m - n = k matches the one at k % 2
+_CHIRALITY = ("last", "next_to_last")
+
+FAMILIES: dict[str, Family] = {
+    "gl": Family({"n": 1, "lam": None}, lambda s: f"gl({s.n})", lambda s: _young(s.lam), {}),
+    "glsuper": Family(
+        {"m": 0, "n": 0, "lam": None}, lambda s: f"gl({s.m}|{s.n})", lambda s: _young(s.lam), {}
+    ),
+    "osp1": Family(
+        {"n": 1, "p": 0}, lambda s: f"osp(1|{2 * s.n})", lambda s: _dynkin(s.n, -s.p),
+        {
+            "sum": lambda s, o: osp1_dim_t(s.n, s.p, o, route="sum"),
+            "closed": lambda s, o: osp1_dim_t(s.n, s.p, o, route="closed"),
+        },
+    ),
+    "ospB": Family(
+        {"m": 0, "n": 0, "p": 0}, lambda s: f"osp({2 * s.m + 1}|{2 * s.n})",
+        lambda s: _dynkin(s.m + s.n, s.p), {"branching": lambda s, o: ospB_sdim_t(s.m, s.n, s.p, o)}
+    ),
+    "ospD": Family(
+        {"m": 0, "n": 0, "p": 0}, lambda s: f"osp({2 * s.m}|{2 * s.n})",
+        lambda s: _dynkin(s.m + s.n, s.p), {"branching": lambda s, o: ospD_sdim_t(s.m, s.n, s.p, o)}
+    ),
+    "soOdd": Family(
+        {"k": 1, "p": 0}, lambda s: f"so({2 * s.k + 1})",
+        lambda s: _dynkin(s.k, s.p), {"branching": lambda s, o: so_odd_dim_t(s.k, s.p, o)}
+    ),
+    "soEven": Family(
+        {"k": 2, "p": 0, "chirality": _CHIRALITY}, lambda s: f"so({2 * s.k})",
+        lambda s: _dynkin(s.k, s.p) if s.chirality == "last" else _dynkin(s.k, s.p, 0),
+        {"branching": lambda s, o: so_even_dim_t(s.k, s.p, s.chirality, o)},
+    ),
+    "sp": Family(
+        {"k": 1, "p": 0}, lambda s: f"sp({2 * s.k})",
+        lambda s: _dynkin(s.k, Fraction(-s.p, 2)), {"branching": lambda s, o: sp_dim_t(s.k, s.p, o)}
+    ),
+    "d21": Family(
+        {"p": 1}, lambda s: "D(2,1;alpha)",
+        lambda s: _dynkin(3, s.p), {"branching": lambda s, o: d21_sdim_t(s.p, o)}
+    ),
+    "spinor": Family(
+        {"m": 0, "n": 0}, lambda s: f"osp({2 * s.m}|{2 * s.n})",
+        lambda s: _dynkin(s.m + s.n, 1), {"closed": lambda s, o: spinor_tdim(s.m, s.n, o)}
+    ),
 }
 
 
 @dataclass(frozen=True)
 class IrrepSpec:
-    """A representation named the way the CLI and reports name it."""
+    """A representation named the way the CLI and reports name it.  Each
+    parameter is checked against the rule of its family's table row, and a
+    parameter the family does not take is refused."""
 
     family: str
     m: int | None = None
@@ -257,56 +322,26 @@ class IrrepSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        for name in _REQUIRED[self.family]:
-            if getattr(self, name) is None:
+        params = FAMILIES[self.family].params
+        for name, rule in params.items():
+            value = getattr(self, name)
+            if value is None:
                 raise ValueError(f"family {self.family!r} needs parameter {name}")
-        if self.family == "soEven" and self.chirality not in ("last", "next_to_last"):
-            raise ValueError("family 'soEven' needs chirality last or next_to_last")
+            if isinstance(rule, tuple) and value not in rule:
+                raise ValueError(f"family {self.family!r} needs {name} {' or '.join(rule)}")
+            if isinstance(rule, int) and value < rule:
+                raise ValueError(f"family {self.family!r} needs {name} >= {rule}, got {value}")
+        for name in ("m", "n", "k", "p", "chirality", "lam"):
+            if name not in params and getattr(self, name) is not None:
+                raise ValueError(f"family {self.family!r} takes no parameter {name}")
 
     @property
     def algebra(self) -> str:
-        f = self.family
-        if f == "gl":
-            return f"gl({self.n})"
-        if f == "glsuper":
-            return f"gl({self.m}|{self.n})"
-        if f == "osp1":
-            return f"osp(1|{2 * self.n})"
-        if f == "ospB":
-            return f"osp({2 * self.m + 1}|{2 * self.n})"
-        if f in ("ospD", "spinor"):
-            return f"osp({2 * self.m}|{2 * self.n})"
-        if f == "soOdd":
-            return f"so({2 * self.k + 1})"
-        if f == "soEven":
-            return f"so({2 * self.k})"
-        if f == "sp":
-            return f"sp({2 * self.k})"
-        return "D(2,1;alpha)"
+        return FAMILIES[self.family].algebra(self)
 
     @property
     def label(self) -> str:
-        f = self.family
-        if f in ("gl", "glsuper"):
-            return "(" + ",".join(map(str, self.lam)) + ")" if self.lam else "(0)"
-        if f == "osp1":
-            entries = ["0"] * (self.n - 1) + [str(-self.p)]
-        elif f in ("ospB", "ospD"):
-            entries = ["0"] * (self.m + self.n - 1) + [str(self.p)]
-        elif f == "spinor":
-            entries = ["0"] * (self.m + self.n - 1) + ["1"]
-        elif f == "soOdd":
-            entries = ["0"] * (self.k - 1) + [str(self.p)]
-        elif f == "soEven":
-            if self.chirality == "last":
-                entries = ["0"] * (self.k - 1) + [str(self.p)]
-            else:
-                entries = ["0"] * (self.k - 2) + [str(self.p), "0"]
-        elif f == "sp":
-            entries = ["0"] * (self.k - 1) + [str(Fraction(-self.p, 2))]
-        else:  # d21
-            entries = ["0", "0", str(self.p)]
-        return "[" + ",".join(entries) + "]"
+        return FAMILIES[self.family].label(self)
 
     def describe(self) -> str:
         return f"{self.label} {self.algebra}"
@@ -322,6 +357,9 @@ class IrrepSpec:
         return out
 
 
+# -- the case table and correspondence reports -------------------------------
+
+
 @dataclass(frozen=True)
 class Side:
     """One side of a correspondence: which irrep, computed how."""
@@ -329,6 +367,9 @@ class Side:
     spec: IrrepSpec
     route: str
     series: TruncatedSeries
+
+    def to_json_dict(self) -> dict:
+        return {"spec": self.spec.to_json_dict(), "route": self.route, **self.series.to_json_dict()}
 
 
 @dataclass(frozen=True)
@@ -342,22 +383,73 @@ class CorrespondenceReport:
     def to_json_dict(self) -> dict:
         return {
             "case": self.case,
-            "left": {
-                "spec": self.left.spec.to_json_dict(),
-                "route": self.left.route,
-                **self.left.series.to_json_dict(),
-            },
-            "right": {
-                "spec": self.right.spec.to_json_dict(),
-                "route": self.right.route,
-                **self.right.series.to_json_dict(),
-            },
+            "left": self.left.to_json_dict(),
+            "right": self.right.to_json_dict(),
             "verdict": "match" if self.match else "mismatch",
             "first_divergence": self.first_divergence,
         }
 
 
-CASES = ("ospB-vs-soOdd", "ospB-vs-osp1", "ospD-vs-soEven", "ospD-vs-sp", "d21-vs-so2")
+class CaseSide(NamedTuple):
+    """One side of a case: its spec from the case parameters, passed by
+    name, the route it reports, and its builder, at -t where needed."""
+
+    spec: Callable[..., IrrepSpec]
+    route: str
+    build: Callable[[IrrepSpec, int], TruncatedSeries]
+
+    def compute(self, params: dict[str, int], order: int) -> Side:
+        spec = self.spec(**params)
+        return Side(spec, self.route, self.build(spec, order))
+
+
+class Case(NamedTuple):
+    """One row of the case table: the lower bound of each required
+    parameter, the free rank parameter (default 1) if any, and two sides
+    that never share a builder."""
+
+    bounds: dict[str, int]
+    free: str | None
+    left: CaseSide
+    right: CaseSide
+
+
+CASES: dict[str, Case] = {
+    "ospB-vs-soOdd": Case(
+        {"k": 1, "p": 0}, "n",
+        CaseSide(lambda k, p, n: IrrepSpec("ospB", m=n + k, n=n, p=p), "branching",
+                 lambda s, o: ospB_sdim_t(s.m, s.n, s.p, o)),
+        CaseSide(lambda k, p, n: IrrepSpec("soOdd", k=k, p=p), "branching",
+                 lambda s, o: so_odd_dim_t(s.k, s.p, o)),
+    ),
+    "ospB-vs-osp1": Case(
+        {"k": 1, "p": 0}, "m",
+        CaseSide(lambda k, p, m: IrrepSpec("ospB", m=m, n=m + k, p=p), "branching",
+                 lambda s, o: ospB_sdim_t(s.m, s.n, s.p, o)),
+        CaseSide(lambda k, p, m: IrrepSpec("osp1", n=k, p=p), "closed at -t",
+                 lambda s, o: osp1_dim_t(s.n, s.p, o, route="closed").substitute_neg_t()),
+    ),
+    "ospD-vs-soEven": Case(
+        {"k": 2, "p": 0}, "n",
+        CaseSide(lambda k, p, n: IrrepSpec("ospD", m=n + k, n=n, p=p), "branching",
+                 lambda s, o: ospD_sdim_t(s.m, s.n, s.p, o)),
+        CaseSide(lambda k, p, n: IrrepSpec("soEven", k=k, p=p, chirality=_CHIRALITY[k % 2]),
+                 "branching", lambda s, o: so_even_dim_t(s.k, s.p, s.chirality, o)),
+    ),
+    "ospD-vs-sp": Case(
+        {"k": 1, "p": 0}, "m",
+        CaseSide(lambda k, p, m: IrrepSpec("ospD", m=m, n=m + k, p=p), "branching",
+                 lambda s, o: ospD_sdim_t(s.m, s.n, s.p, o)),
+        CaseSide(lambda k, p, m: IrrepSpec("sp", k=k, p=p), "branching at -t",
+                 lambda s, o: sp_dim_t(s.k, s.p, o).substitute_neg_t()),
+    ),
+    "d21-vs-so2": Case(
+        {"p": 1}, None,
+        CaseSide(lambda p: IrrepSpec("d21", p=p), "branching", lambda s, o: d21_sdim_t(s.p, o)),
+        CaseSide(lambda p: IrrepSpec("d21", p=p), "closed form",
+                 lambda s, o: d21_sdim_closed(s.p, o)),
+    ),
+}
 
 
 def verify_correspondence(
@@ -373,59 +465,22 @@ def verify_correspondence(
     them coefficient by coefficient through the given order.
 
     The free parameter (n for a wide odd algebra, m for a tall one) defaults
-    to 1; the identity asserts independence of it.
+    to 1; the identity asserts independence of it.  A parameter the case
+    does not use is ignored here; `ospdim verify` refuses it.
     """
-    if case == "ospB-vs-soOdd":
-        if k is None or p is None:
-            raise ValueError(f"case {case!r} needs k and p")
-        n = 1 if n is None else n
-        left_spec = IrrepSpec("ospB", m=n + k, n=n, p=p)
-        left = ospB_sdim_t(n + k, n, p, order)
-        right_spec = IrrepSpec("soOdd", k=k, p=p)
-        right = so_odd_dim_t(k, p, order)
-        sides = Side(left_spec, "branching", left), Side(right_spec, "branching", right)
-    elif case == "ospB-vs-osp1":
-        if k is None or p is None:
-            raise ValueError(f"case {case!r} needs k and p")
-        m = 1 if m is None else m
-        left_spec = IrrepSpec("ospB", m=m, n=m + k, p=p)
-        left = ospB_sdim_t(m, m + k, p, order)
-        right_spec = IrrepSpec("osp1", n=k, p=p)
-        right = osp1_dim_t(k, p, order, route="closed").substitute_neg_t()
-        sides = Side(left_spec, "branching", left), Side(right_spec, "closed at -t", right)
-    elif case == "ospD-vs-soEven":
-        if k is None or p is None:
-            raise ValueError(f"case {case!r} needs k and p")
-        if k < 2:
-            raise ValueError("the even orthogonal side needs k >= 2")
-        n = 1 if n is None else n
-        chirality = "last" if k % 2 == 0 else "next_to_last"
-        left_spec = IrrepSpec("ospD", m=n + k, n=n, p=p)
-        left = ospD_sdim_t(n + k, n, p, order)
-        right_spec = IrrepSpec("soEven", k=k, p=p, chirality=chirality)
-        right = so_even_dim_t(k, p, chirality, order)
-        sides = Side(left_spec, "branching", left), Side(right_spec, "branching", right)
-    elif case == "ospD-vs-sp":
-        if k is None or p is None:
-            raise ValueError(f"case {case!r} needs k and p")
-        m = 1 if m is None else m
-        left_spec = IrrepSpec("ospD", m=m, n=m + k, p=p)
-        left = ospD_sdim_t(m, m + k, p, order)
-        right_spec = IrrepSpec("sp", k=k, p=p)
-        right = sp_dim_t(k, p, order).substitute_neg_t()
-        sides = Side(left_spec, "branching", left), Side(right_spec, "branching at -t", right)
-    elif case == "d21-vs-so2":
-        if p is None:
-            raise ValueError(f"case {case!r} needs p")
-        spec = IrrepSpec("d21", p=p)
-        left = d21_sdim_t(p, order)
-        right = d21_sdim_closed(p, order)
-        sides = Side(spec, "branching", left), Side(spec, "closed form", right)
-    else:
+    if case not in CASES:
         raise ValueError(f"unknown case {case!r}; choose from {', '.join(CASES)}")
-    left_side, right_side = sides
-    div = left_side.series.first_divergence(right_side.series)
-    return CorrespondenceReport(case, left_side, right_side, div is None, div)
+    row = CASES[case]
+    given = {"k": k, "p": p, "n": n, "m": m}
+    for name, low in row.bounds.items():
+        if given[name] is None or given[name] < low:
+            raise ValueError(f"case {case!r} needs {name} >= {low}")
+    params = {name: given[name] for name in row.bounds}
+    if row.free:
+        params[row.free] = 1 if given[row.free] is None else given[row.free]
+    left, right = row.left.compute(params, order), row.right.compute(params, order)
+    div = left.series.first_divergence(right.series)
+    return CorrespondenceReport(case, left, right, div is None, div)
 
 
 # -- randomized product-expansion check --------------------------------------

@@ -1,5 +1,11 @@
 """Command line interface.
 
+The choices of `series --family`, `verify --case` and `sweep --case`, the
+parameters each family or case takes and the ranges a sweep runs over all
+come from the FAMILIES and CASES tables in `characters`.  An option the
+chosen family or case does not take is a usage error; `--route` and
+`--chirality` have defaults and are read only where they apply.
+
 Exit codes:
 
 0  success, and an all-match verdict
@@ -16,6 +22,7 @@ order can be set with the OSPDIM_ORDER environment variable.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import sys
@@ -23,20 +30,7 @@ import sys
 import click
 
 from . import __version__
-from .characters import (
-    CASES,
-    IrrepSpec,
-    d21_sdim_t,
-    osp1_dim_t,
-    ospB_sdim_t,
-    ospD_sdim_t,
-    so_even_dim_t,
-    so_odd_dim_t,
-    sp_dim_t,
-    spinor_sdim,
-    spinor_tdim,
-    verify_correspondence,
-)
+from .characters import CASES, FAMILIES, IrrepSpec, spinor_sdim, verify_correspondence
 from .partitions import Partition
 from .schur import dim_gl_frobenius, dim_gl_hook, dim_gl_weyl, sdim_gl
 from .series import DEFAULT_ORDER, TruncatedSeries
@@ -71,10 +65,20 @@ def _parse_partition(text: str | None, flag: str) -> Partition:
         raise click.UsageError(f"bad {flag}: {exc}")
 
 
-def _need(name: str, value: int | None) -> int:
-    if value is None:
-        raise click.UsageError(f"missing required option --{name}")
-    return value
+def _spec(family: str, given: dict, **defaults) -> IrrepSpec:
+    """The spec of a family from the options given, None meaning absent.  A
+    defaulted option counts only for a family that takes it.  A missing
+    parameter, a bad one or one the family does not take is a usage error."""
+    params = FAMILIES[family].params
+    values = {name: value for name, value in defaults.items() if name in params}
+    values.update((name, value) for name, value in given.items() if value is not None)
+    for name in params:
+        if name not in values:
+            raise click.UsageError(f"missing required option --{name}")
+    try:
+        return IrrepSpec(family, **values)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
 
 
 def _series_csv(series: TruncatedSeries) -> str:
@@ -112,47 +116,36 @@ def main():
 @click.option("--format", "fmt", type=FORMATS, default="text", show_default=True)
 def dim(family, m, n, lam_text, fmt):
     """Integer dimension or superdimension of a single irrep."""
-    try:
-        if family == "gl":
-            n = _need("n", n)
-            lam = _parse_partition(lam_text, "--lambda")
-            spec = IrrepSpec("gl", n=n, lam=lam.parts)
-            weyl = dim_gl_weyl(n, lam)
-            hook = dim_gl_hook(n, lam)
-            frob = dim_gl_frobenius(n, lam.frobenius())
-            agree = weyl == hook == frob
-            payload = {
-                "spec": spec.to_json_dict(),
-                "value": weyl,
-                "weyl": weyl,
-                "hook": hook,
-                "frobenius": frob,
-                "agreement": agree,
-            }
-            text = [str(weyl), f"weyl=hook=frobenius: {'true' if agree else 'false'}"]
-            csv = [
-                "family,n,lambda,value,agreement",
-                f"gl,{n},{spec.label},{weyl},{str(agree).lower()}",
-            ]
-        elif family == "glsuper":
-            m = _need("m", m)
-            n = _need("n", n)
-            lam = _parse_partition(lam_text, "--lambda")
-            spec = IrrepSpec("glsuper", m=m, n=n, lam=lam.parts)
-            value = sdim_gl(m, n, lam)
-            payload = {"spec": spec.to_json_dict(), "value": value}
-            text = [str(value)]
-            csv = ["family,m,n,lambda,value", f"glsuper,{m},{n},{spec.label},{value}"]
-        else:
-            m = _need("m", m)
-            n = _need("n", n)
-            spec = IrrepSpec("spinor", m=m, n=n)
-            value = spinor_sdim(m, n)
-            payload = {"spec": spec.to_json_dict(), "value": str(value)}
-            text = [str(value)]
-            csv = ["family,m,n,value", f"spinor,{m},{n},{value}"]
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    lam = _parse_partition(lam_text, "--lambda")
+    spec = _spec(family, {"m": m, "n": n, "lam": None if lam_text is None else lam.parts}, lam=())
+    if family == "gl":
+        weyl = dim_gl_weyl(n, lam)
+        hook = dim_gl_hook(n, lam)
+        frob = dim_gl_frobenius(n, lam.frobenius())
+        agree = weyl == hook == frob
+        payload = {
+            "spec": spec.to_json_dict(),
+            "value": weyl,
+            "weyl": weyl,
+            "hook": hook,
+            "frobenius": frob,
+            "agreement": agree,
+        }
+        text = [str(weyl), f"weyl=hook=frobenius: {'true' if agree else 'false'}"]
+        csv = [
+            "family,n,lambda,value,agreement",
+            f"gl,{n},{spec.label},{weyl},{str(agree).lower()}",
+        ]
+    elif family == "glsuper":
+        value = sdim_gl(m, n, lam)
+        payload = {"spec": spec.to_json_dict(), "value": value}
+        text = [str(value)]
+        csv = ["family,m,n,lambda,value", f"glsuper,{m},{n},{spec.label},{value}"]
+    else:
+        value = spinor_sdim(m, n)
+        payload = {"spec": spec.to_json_dict(), "value": str(value)}
+        text = [str(value)]
+        csv = ["family,m,n,value", f"spinor,{m},{n},{value}"]
     if fmt == "json":
         click.echo(json.dumps(payload))
     elif fmt == "csv":
@@ -161,11 +154,8 @@ def dim(family, m, n, lam_text, fmt):
         click.echo("\n".join(text))
 
 
-_SERIES_FAMILIES = ["osp1", "ospB", "ospD", "soOdd", "soEven", "sp", "d21", "spinor"]
-
-
 @main.command()
-@click.option("--family", type=click.Choice(_SERIES_FAMILIES), required=True)
+@click.option("--family", type=click.Choice([f for f, row in FAMILIES.items() if row.routes]), required=True)
 @click.option("--m", type=int, default=None)
 @click.option("--n", type=int, default=None)
 @click.option("--k", type=int, default=None)
@@ -177,50 +167,10 @@ _SERIES_FAMILIES = ["osp1", "ospB", "ospD", "soOdd", "soEven", "sp", "d21", "spi
 def series(family, m, n, k, p, order, route, chirality, fmt):
     """t-expansion of one dimension or superdimension series."""
     order = _resolve_order(order)
-    try:
-        if family == "osp1":
-            n = _need("n", n)
-            p = _need("p", p)
-            spec = IrrepSpec("osp1", n=n, p=p)
-            out = osp1_dim_t(n, p, order, route=route)
-            meta_route = route
-        elif family == "ospB":
-            m, n, p = _need("m", m), _need("n", n), _need("p", p)
-            spec = IrrepSpec("ospB", m=m, n=n, p=p)
-            out = ospB_sdim_t(m, n, p, order)
-            meta_route = "branching"
-        elif family == "ospD":
-            m, n, p = _need("m", m), _need("n", n), _need("p", p)
-            spec = IrrepSpec("ospD", m=m, n=n, p=p)
-            out = ospD_sdim_t(m, n, p, order)
-            meta_route = "branching"
-        elif family == "soOdd":
-            k, p = _need("k", k), _need("p", p)
-            spec = IrrepSpec("soOdd", k=k, p=p)
-            out = so_odd_dim_t(k, p, order)
-            meta_route = "branching"
-        elif family == "soEven":
-            k, p = _need("k", k), _need("p", p)
-            spec = IrrepSpec("soEven", k=k, p=p, chirality=chirality)
-            out = so_even_dim_t(k, p, chirality, order)
-            meta_route = "branching"
-        elif family == "sp":
-            k, p = _need("k", k), _need("p", p)
-            spec = IrrepSpec("sp", k=k, p=p)
-            out = sp_dim_t(k, p, order)
-            meta_route = "branching"
-        elif family == "d21":
-            p = _need("p", p)
-            spec = IrrepSpec("d21", p=p)
-            out = d21_sdim_t(p, order)
-            meta_route = "branching"
-        else:
-            m, n = _need("m", m), _need("n", n)
-            spec = IrrepSpec("spinor", m=m, n=n)
-            out = spinor_tdim(m, n, order)
-            meta_route = "closed"
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    spec = _spec(family, {"m": m, "n": n, "k": k, "p": p}, chirality=chirality)
+    routes = FAMILIES[family].routes
+    meta_route = route if route in routes else next(iter(routes))
+    out = routes[meta_route](spec, order)
     if fmt == "json":
         payload = {"spec": spec.to_json_dict(), "meta": {"route": meta_route}}
         payload.update(out.to_json_dict())
@@ -242,6 +192,10 @@ def series(family, m, n, k, p, order, route, chirality, fmt):
 def verify(case, m, n, k, p, order, fmt):
     """Compare both sides of one correspondence; exit 1 on mismatch."""
     order = _resolve_order(order)
+    row = CASES[case]
+    for name, value in (("m", m), ("n", n), ("k", k), ("p", p)):
+        if value is not None and name not in (*row.bounds, row.free):
+            raise click.UsageError(f"case {case!r} takes no option --{name}")
     try:
         report = verify_correspondence(case, k=k, p=p, n=n, m=m, order=order)
     except ValueError as exc:
@@ -280,21 +234,17 @@ def sweep(case, k_max, p_max, free_count, order, fmt):
     cases = list(CASES) if case == "all" else [case]
     rows = []
     mismatches = 0
+    highest = {"k": k_max, "p": p_max}
     for c in cases:
-        if c == "d21-vs-so2":
-            for p in range(1, p_max + 1):
-                report = verify_correspondence(c, p=p, order=order)
-                rows.append((c, {"p": p}, report))
-                mismatches += not report.match
-            continue
-        k_lo = 2 if c == "ospD-vs-soEven" else 1
-        free = "n" if c in ("ospB-vs-soOdd", "ospD-vs-soEven") else "m"
-        for k in range(k_lo, k_max + 1):
-            for p in range(p_max + 1):
-                for v in range(1, free_count + 1):
-                    report = verify_correspondence(c, k=k, p=p, order=order, **{free: v})
-                    rows.append((c, {"k": k, "p": p, free: v}, report))
-                    mismatches += not report.match
+        row = CASES[c]
+        axes = {name: range(low, highest[name] + 1) for name, low in row.bounds.items()}
+        if row.free:
+            axes[row.free] = range(1, free_count + 1)
+        for values in itertools.product(*axes.values()):
+            params = dict(zip(axes, values))
+            report = verify_correspondence(c, order=order, **params)
+            rows.append((c, params, report))
+            mismatches += not report.match
     if not rows:
         raise click.UsageError("the parameter ranges give no combinations to check")
     if fmt == "json":

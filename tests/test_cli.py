@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+import ospdim.characters as characters
 import ospdim.cli as cli_mod
 from ospdim.cli import main
 from ospdim.series import TruncatedSeries
@@ -326,7 +327,7 @@ class TestInternalErrors:
         raise RuntimeError("broken builder")
 
     def test_crash_exits_three_with_one_stderr_line(self, monkeypatch):
-        monkeypatch.setattr(cli_mod, "so_odd_dim_t", self.broken)
+        monkeypatch.setattr(characters, "so_odd_dim_t", self.broken)
         result = run("series", "--family", "soOdd", "--k", "2", "--p", "1")
         assert result.exit_code == 3
         assert result.stdout == ""
@@ -344,7 +345,7 @@ class TestInternalErrors:
         def broken(*args, **kwargs):
             raise error
 
-        monkeypatch.setattr(cli_mod, "so_odd_dim_t", broken)
+        monkeypatch.setattr(characters, "so_odd_dim_t", broken)
         args = ["series", "--family", "soOdd", "--k", "2", "--p", "1"]
         with pytest.raises(RuntimeError) as info:
             CliRunner().invoke(main, args, standalone_mode=False, catch_exceptions=False)

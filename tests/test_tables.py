@@ -1,0 +1,190 @@
+"""The family and case tables, and the parameter checks that read them."""
+
+import json
+
+import pytest
+from click.testing import CliRunner
+
+from ospdim.characters import (
+    CASES,
+    FAMILIES,
+    IrrepSpec,
+    d21_sdim_t,
+    osp1_dim_t,
+    ospB_sdim_t,
+    ospD_sdim_t,
+    so_even_dim_t,
+    so_odd_dim_t,
+    sp_dim_t,
+    spinor_tdim,
+)
+from ospdim.cli import main
+
+
+def run(*args):
+    return CliRunner().invoke(main, list(args))
+
+
+def choices(command: str, option: str) -> list[str]:
+    (param,) = [p for p in main.commands[command].params if p.name == option]
+    return list(param.type.choices)
+
+
+# the lower bound of every integer parameter, as the builders enforce them
+BOUNDS = {
+    "gl": {"n": 1},
+    "glsuper": {"m": 0, "n": 0},
+    "osp1": {"n": 1, "p": 0},
+    "ospB": {"m": 0, "n": 0, "p": 0},
+    "ospD": {"m": 0, "n": 0, "p": 0},
+    "soOdd": {"k": 1, "p": 0},
+    "soEven": {"k": 2, "p": 0},
+    "sp": {"k": 1, "p": 0},
+    "d21": {"p": 1},
+    "spinor": {"m": 0, "n": 0},
+}
+EXTRAS = {"gl": {"lam": ()}, "glsuper": {"lam": ()}, "soEven": {"chirality": "last"}}
+
+
+def lowest(family: str) -> dict:
+    return {**BOUNDS[family], **EXTRAS.get(family, {})}
+
+
+class TestIrrepSpecChecks:
+    def test_negative_rank_rejected(self):
+        with pytest.raises(ValueError, match="n >= 1"):
+            IrrepSpec("gl", n=-3, lam=(1,))
+
+    @pytest.mark.parametrize("family", list(BOUNDS))
+    def test_every_lower_bound(self, family):
+        IrrepSpec(family, **lowest(family))
+        for name, low in BOUNDS[family].items():
+            with pytest.raises(ValueError, match=f"{name} >= {low}"):
+                IrrepSpec(family, **{**lowest(family), name: low - 1})
+
+    @pytest.mark.parametrize("family", list(BOUNDS))
+    def test_parameter_not_taken_rejected(self, family):
+        unused = {"m": 1, "n": 1, "k": 2, "p": 1, "chirality": "last", "lam": (1,)}
+        for name in lowest(family):
+            del unused[name]
+        assert unused
+        for name, value in unused.items():
+            with pytest.raises(ValueError, match=f"takes no parameter {name}"):
+                IrrepSpec(family, **lowest(family), **{name: value})
+
+    def test_table_covers_every_family(self):
+        assert list(FAMILIES) == list(BOUNDS)
+
+    @pytest.mark.parametrize("family", [f for f, row in FAMILIES.items() if row.routes])
+    def test_builders_accept_the_lowest_spec(self, family):
+        spec = IrrepSpec(family, **lowest(family))
+        for build in FAMILIES[family].routes.values():
+            assert build(spec, 4).order == 4
+
+
+class TestChoicesComeFromTables:
+    def test_series_family(self):
+        assert choices("series", "family") == [f for f, row in FAMILIES.items() if row.routes]
+
+    def test_verify_case(self):
+        assert choices("verify", "case") == list(CASES)
+
+    def test_sweep_case(self):
+        assert choices("sweep", "case") == list(CASES) + ["all"]
+
+
+# (family, route, options, the builder called directly)
+SERIES = [
+    ("osp1", "sum", {"n": 3, "p": 2}, lambda o: osp1_dim_t(3, 2, o, route="sum")),
+    ("osp1", "closed", {"n": 3, "p": 2}, lambda o: osp1_dim_t(3, 2, o, route="closed")),
+    ("ospB", "branching", {"m": 1, "n": 3, "p": 2}, lambda o: ospB_sdim_t(1, 3, 2, o)),
+    ("ospD", "branching", {"m": 4, "n": 1, "p": 2}, lambda o: ospD_sdim_t(4, 1, 2, o)),
+    ("soOdd", "branching", {"k": 3, "p": 2}, lambda o: so_odd_dim_t(3, 2, o)),
+    (
+        "soEven",
+        "branching",
+        {"k": 4, "p": 2, "chirality": "next_to_last"},
+        lambda o: so_even_dim_t(4, 2, "next_to_last", o),
+    ),
+    ("sp", "branching", {"k": 3, "p": 2}, lambda o: sp_dim_t(3, 2, o)),
+    ("d21", "branching", {"p": 3}, lambda o: d21_sdim_t(3, o)),
+    ("spinor", "closed", {"m": 1, "n": 3}, lambda o: spinor_tdim(1, 3, o)),
+]
+
+
+class TestSeriesJson:
+    def test_one_row_per_route(self):
+        table = [(f, r) for f, row in FAMILIES.items() for r in row.routes]
+        assert [(f, r) for f, r, _, _ in SERIES] == table
+
+    @pytest.mark.parametrize(
+        "family, route, options, build", SERIES, ids=[f"{f}-{r}" for f, r, _, _ in SERIES]
+    )
+    def test_payload(self, family, route, options, build):
+        args = ["series", "--family", family, "--order", "9", "--format", "json"]
+        for name, value in options.items():
+            args += [f"--{name}", str(value)]
+        if len(FAMILIES[family].routes) > 1:
+            args += ["--route", route]
+        result = run(*args)
+        assert result.exit_code == 0, result.output
+        spec = IrrepSpec(family, **options)
+        expected = {"spec": spec.to_json_dict(), "meta": {"route": route}}
+        expected.update(build(9).to_json_dict())
+        assert json.loads(result.output) == expected
+
+
+class TestUnusedOptionsRejected:
+    def test_verify_examples(self):
+        result = run("verify", "--case", "d21-vs-so2", "--p", "2", "--k", "99")
+        assert result.exit_code == 2
+        assert "takes no option --k" in result.output
+        result = run("verify", "--case", "ospB-vs-soOdd", "--k", "2", "--p", "1", "--m", "7")
+        assert result.exit_code == 2
+        assert "takes no option --m" in result.output
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_verify_every_case(self, case):
+        row = CASES[case]
+        base = ["verify", "--case", case, "--order", "4"]
+        for name, low in row.bounds.items():
+            base += [f"--{name}", str(low + 1)]
+        if row.free:
+            base += [f"--{row.free}", "2"]
+        assert run(*base).exit_code == 0
+        for name in ("m", "n", "k", "p"):
+            if name not in (*row.bounds, row.free):
+                result = run(*base, f"--{name}", "1")
+                assert result.exit_code == 2, (case, name)
+                assert f"takes no option --{name}" in result.output
+
+    def test_series_option_not_taken(self):
+        result = run("series", "--family", "ospB", "--m", "2", "--n", "1", "--p", "1", "--k", "9")
+        assert result.exit_code == 2
+        assert "takes no parameter k" in result.output
+
+    def test_series_out_of_range(self):
+        result = run("series", "--family", "osp1", "--n", "0", "--p", "1")
+        assert result.exit_code == 2
+        assert "n >= 1" in result.output
+
+    def test_dim_option_not_taken(self):
+        result = run("dim", "--family", "spinor", "--m", "2", "--n", "1", "--lambda", "3,1")
+        assert result.exit_code == 2
+        assert "takes no parameter lam" in result.output
+        result = run("dim", "--family", "gl", "--m", "2", "--n", "3")
+        assert result.exit_code == 2
+        assert "takes no parameter m" in result.output
+
+    def test_dim_negative_rank(self):
+        result = run("dim", "--family", "glsuper", "--m", "-1", "--n", "2")
+        assert result.exit_code == 2
+        assert "m >= 0" in result.output
+
+    def test_missing_option_message_kept(self):
+        result = run("series", "--family", "sp", "--p", "1")
+        assert result.exit_code == 2
+        assert "missing required option --k" in result.output
+        result = run("dim", "--family", "spinor", "--n", "1")
+        assert result.exit_code == 2
+        assert "missing required option --m" in result.output
