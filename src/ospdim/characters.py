@@ -13,9 +13,11 @@ Two tables name everything the package can build and check.  FAMILIES has
 one row per family: its parameters with their lower bounds, its algebra and
 Dynkin-label text, and the series builder of each of its routes.  CASES has
 one row per correspondence: its required parameters with their lower
-bounds, its free rank parameter, and how each of its two sides is computed.
-IrrepSpec, verify_correspondence and the command line read these tables, so
-a new family or case is one new row.
+bounds, its free rank parameter, and for each of its two sides the spec and
+the route of that spec's FAMILIES row, taken at -t where the identity needs
+it, so each builder is called from one place.  IrrepSpec, verify_correspondence
+and the command line read these tables, so a new family or case is one new
+row, and every route a verdict names is one `ospdim series --route` takes.
 """
 
 from __future__ import annotations
@@ -41,22 +43,20 @@ from .schur import dim_gl_frobenius, super_schur_eval, weyl_product
 from .series import DEFAULT_ORDER, TruncatedSeries, polynomial
 
 
-def _branching_sum(
-    order: int, rank: int, stream: Stream, *, transpose: bool = False,
-    signed: bool = False, head: int | None = None,
-) -> TruncatedSeries:
-    """Add the gl(rank) dimension of each shape of a (parts, weight) stream
-    bounded by weight <= order at t^weight.  The shape is the conjugate of
-    parts with transpose, with an extra first row head when one is given;
-    signed negates odd weights."""
+def _branching_sum(order: int, m: int, n: int, stream: Stream) -> TruncatedSeries:
+    """Add the gl(m|n) superdimension of each shape of a (parts, weight)
+    stream bounded by weight <= order at t^weight: the gl(m-n) dimension of
+    parts when m >= n, else (-1)^weight times the gl(n-m) dimension of the
+    conjugate of parts.  The sign reads weight as |parts|; the one stream
+    where they differ, so(2k) with a head row, has n = 0."""
     coeffs = [0] * (order + 1)
-    for parts, weight in stream:
-        if transpose:
-            parts = conjugate_parts(parts)
-        if head is not None:
-            parts = (head,) + parts
-        dim = weyl_product(rank, parts)
-        coeffs[weight] += -dim if signed and weight % 2 else dim
+    if m >= n:
+        for parts, weight in stream:
+            coeffs[weight] += weyl_product(m - n, parts)
+    else:
+        for parts, weight in stream:
+            dim = weyl_product(n - m, conjugate_parts(parts))
+            coeffs[weight] += -dim if weight % 2 else dim
     return TruncatedSeries(coeffs, order)
 
 
@@ -94,7 +94,7 @@ def osp1_dim_t(
     if p < 0:
         raise ValueError("p must be non-negative")
     if route == "sum":
-        return _branching_sum(order, n, partition_tuples(order, None, min(n, p)))
+        return _branching_sum(order, n, 0, partition_tuples(order, None, min(n, p)))
     if route == "closed":
         den = polynomial([1, -1], order) ** n * polynomial([1, 0, -1], order) ** (
             n * (n - 1) // 2
@@ -113,10 +113,8 @@ def ospB_sdim_t(m: int, n: int, p: int, order: int = DEFAULT_ORDER) -> Truncated
     """
     if m < 0 or n < 0 or p < 0:
         raise ValueError("m, n and p must be non-negative")
-    if m >= n:
-        return _branching_sum(order, m - n, partition_tuples(order, p, m - n))
-    stream = partition_tuples(order, min(p, n - m), None)
-    return _branching_sum(order, n - m, stream, transpose=True, signed=True)
+    bounds = (p, m - n) if m >= n else (min(p, n - m), None)
+    return _branching_sum(order, m, n, partition_tuples(order, *bounds))
 
 
 def so_odd_dim_t(k: int, p: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
@@ -127,7 +125,7 @@ def so_odd_dim_t(k: int, p: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
         raise ValueError("k must be at least 1")
     if p < 0:
         raise ValueError("p must be non-negative")
-    return _branching_sum(order, k, partition_tuples(order, p, k))
+    return _branching_sum(order, k, 0, partition_tuples(order, p, k))
 
 
 def ospD_sdim_t(m: int, n: int, p: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
@@ -136,10 +134,8 @@ def ospD_sdim_t(m: int, n: int, p: int, order: int = DEFAULT_ORDER) -> Truncated
     which every part value occurs an even number of times."""
     if m < 0 or n < 0 or p < 0:
         raise ValueError("m, n and p must be non-negative")
-    if m >= n:
-        return _branching_sum(order, m - n, doubled_tuples(order, p, m - n))
-    stream = doubled_tuples(order, min(p, n - m), None)
-    return _branching_sum(order, n - m, stream, transpose=True, signed=True)
+    bounds = (p, m - n) if m >= n else (min(p, n - m), None)
+    return _branching_sum(order, m, n, doubled_tuples(order, *bounds))
 
 
 def so_even_dim_t(
@@ -163,8 +159,9 @@ def so_even_dim_t(
         raise ValueError(f"unknown chirality {chirality!r}")
     # at most k rows, or k - 1 under the head row; doubling rounds both down
     if (chirality == "last") == (k % 2 == 0):
-        return _branching_sum(order, k, doubled_tuples(order, p, k))
-    return _branching_sum(order, k, doubled_tuples(order, p, k - 1), head=p)
+        return _branching_sum(order, k, 0, doubled_tuples(order, p, k))
+    stream = (((p,) + parts, weight) for parts, weight in doubled_tuples(order, p, k - 1))
+    return _branching_sum(order, k, 0, stream)
 
 
 def sp_dim_t(k: int, p: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
@@ -176,7 +173,7 @@ def sp_dim_t(k: int, p: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
         raise ValueError("k must be at least 1")
     if p < 0:
         raise ValueError("p must be non-negative")
-    return _branching_sum(order, k, evened_tuples(order, min(p, k)))
+    return _branching_sum(order, k, 0, evened_tuples(order, min(p, k)))
 
 
 def spinor_tdim(m: int, n: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
@@ -296,7 +293,8 @@ FAMILIES: dict[str, Family] = {
     ),
     "d21": Family(
         {"p": 1}, lambda s: "D(2,1;alpha)",
-        lambda s: _dynkin(3, s.p), {"branching": lambda s, o: d21_sdim_t(s.p, o)}
+        lambda s: _dynkin(3, s.p),
+        {"branching": lambda s, o: d21_sdim_t(s.p, o), "closed": lambda s, o: d21_sdim_closed(s.p, o)},
     ),
     "spinor": Family(
         {"m": 0, "n": 0}, lambda s: f"osp({2 * s.m}|{2 * s.n})",
@@ -392,21 +390,25 @@ class CorrespondenceReport:
 
 class CaseSide(NamedTuple):
     """One side of a case: its spec from the case parameters, passed by
-    name, the route it reports, and its builder, at -t where needed."""
+    name, the route of its family's row that computes it, and whether the
+    series is taken at -t."""
 
     spec: Callable[..., IrrepSpec]
     route: str
-    build: Callable[[IrrepSpec, int], TruncatedSeries]
+    at_neg_t: bool = False
 
     def compute(self, params: dict[str, int], order: int) -> Side:
         spec = self.spec(**params)
-        return Side(spec, self.route, self.build(spec, order))
+        series = FAMILIES[spec.family].routes[self.route](spec, order)
+        if self.at_neg_t:
+            return Side(spec, f"{self.route} at -t", series.substitute_neg_t())
+        return Side(spec, self.route, series)
 
 
 class Case(NamedTuple):
     """One row of the case table: the lower bound of each required
     parameter, the free rank parameter (default 1) if any, and two sides
-    that never share a builder."""
+    that never name the same (family, route)."""
 
     bounds: dict[str, int]
     free: str | None
@@ -417,37 +419,29 @@ class Case(NamedTuple):
 CASES: dict[str, Case] = {
     "ospB-vs-soOdd": Case(
         {"k": 1, "p": 0}, "n",
-        CaseSide(lambda k, p, n: IrrepSpec("ospB", m=n + k, n=n, p=p), "branching",
-                 lambda s, o: ospB_sdim_t(s.m, s.n, s.p, o)),
-        CaseSide(lambda k, p, n: IrrepSpec("soOdd", k=k, p=p), "branching",
-                 lambda s, o: so_odd_dim_t(s.k, s.p, o)),
+        CaseSide(lambda k, p, n: IrrepSpec("ospB", m=n + k, n=n, p=p), "branching"),
+        CaseSide(lambda k, p, n: IrrepSpec("soOdd", k=k, p=p), "branching"),
     ),
     "ospB-vs-osp1": Case(
         {"k": 1, "p": 0}, "m",
-        CaseSide(lambda k, p, m: IrrepSpec("ospB", m=m, n=m + k, p=p), "branching",
-                 lambda s, o: ospB_sdim_t(s.m, s.n, s.p, o)),
-        CaseSide(lambda k, p, m: IrrepSpec("osp1", n=k, p=p), "closed at -t",
-                 lambda s, o: osp1_dim_t(s.n, s.p, o, route="closed").substitute_neg_t()),
+        CaseSide(lambda k, p, m: IrrepSpec("ospB", m=m, n=m + k, p=p), "branching"),
+        CaseSide(lambda k, p, m: IrrepSpec("osp1", n=k, p=p), "closed", at_neg_t=True),
     ),
     "ospD-vs-soEven": Case(
         {"k": 2, "p": 0}, "n",
-        CaseSide(lambda k, p, n: IrrepSpec("ospD", m=n + k, n=n, p=p), "branching",
-                 lambda s, o: ospD_sdim_t(s.m, s.n, s.p, o)),
+        CaseSide(lambda k, p, n: IrrepSpec("ospD", m=n + k, n=n, p=p), "branching"),
         CaseSide(lambda k, p, n: IrrepSpec("soEven", k=k, p=p, chirality=_CHIRALITY[k % 2]),
-                 "branching", lambda s, o: so_even_dim_t(s.k, s.p, s.chirality, o)),
+                 "branching"),
     ),
     "ospD-vs-sp": Case(
         {"k": 1, "p": 0}, "m",
-        CaseSide(lambda k, p, m: IrrepSpec("ospD", m=m, n=m + k, p=p), "branching",
-                 lambda s, o: ospD_sdim_t(s.m, s.n, s.p, o)),
-        CaseSide(lambda k, p, m: IrrepSpec("sp", k=k, p=p), "branching at -t",
-                 lambda s, o: sp_dim_t(s.k, s.p, o).substitute_neg_t()),
+        CaseSide(lambda k, p, m: IrrepSpec("ospD", m=m, n=m + k, p=p), "branching"),
+        CaseSide(lambda k, p, m: IrrepSpec("sp", k=k, p=p), "branching", at_neg_t=True),
     ),
     "d21-vs-so2": Case(
         {"p": 1}, None,
-        CaseSide(lambda p: IrrepSpec("d21", p=p), "branching", lambda s, o: d21_sdim_t(s.p, o)),
-        CaseSide(lambda p: IrrepSpec("d21", p=p), "closed form",
-                 lambda s, o: d21_sdim_closed(s.p, o)),
+        CaseSide(lambda p: IrrepSpec("d21", p=p), "branching"),
+        CaseSide(lambda p: IrrepSpec("d21", p=p), "closed"),
     ),
 }
 
@@ -465,13 +459,16 @@ def verify_correspondence(
     them coefficient by coefficient through the given order.
 
     The free parameter (n for a wide odd algebra, m for a tall one) defaults
-    to 1; the identity asserts independence of it.  A parameter the case
-    does not use is ignored here; `ospdim verify` refuses it.
+    to 1; the identity asserts independence of it.  A missing or
+    out-of-range parameter, and one the case does not use, raise ValueError.
     """
     if case not in CASES:
         raise ValueError(f"unknown case {case!r}; choose from {', '.join(CASES)}")
     row = CASES[case]
-    given = {"k": k, "p": p, "n": n, "m": m}
+    given = {"m": m, "n": n, "k": k, "p": p}
+    for name, value in given.items():
+        if value is not None and name not in (*row.bounds, row.free):
+            raise ValueError(f"case {case!r} takes no parameter {name}")
     for name, low in row.bounds.items():
         if given[name] is None or given[name] < low:
             raise ValueError(f"case {case!r} needs {name} >= {low}")

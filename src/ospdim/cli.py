@@ -1,17 +1,19 @@
 """Command line interface.
 
-The choices of `series --family`, `verify --case` and `sweep --case`, the
-parameters each family or case takes and the ranges a sweep runs over all
-come from the FAMILIES and CASES tables in `characters`.  An option the
-chosen family or case does not take is a usage error; `--route` and
-`--chirality` have defaults and are read only where they apply.
+The choices of `series --family`, `--route` and `--chirality`, `verify
+--case` and `sweep --case`, the parameters each family or case takes and the
+ranges a sweep runs over all come from the FAMILIES and CASES tables in
+`characters`, and `verify_correspondence` alone checks a case's parameters.
+An option the chosen family or case does not take is a usage error: a
+`--route` the family lacks, and `--chirality` for any family but soEven.
+`--route` defaults to the family's first route, `--chirality` to last.
 
 Exit codes:
 
 0  success, and an all-match verdict
 1  a verification reports a mismatch, and nothing else
-2  usage error (click's default), including a sweep whose ranges give
-   nothing to check
+2  usage error (click's default), including a sweep in which some case
+   has no combination to check
 3  internal error: any other uncaught exception, reported as one
    "internal error: ..." line on stderr
 
@@ -161,18 +163,22 @@ def dim(family, m, n, lam_text, fmt):
 @click.option("--k", type=int, default=None)
 @click.option("--p", type=int, default=None)
 @click.option("--order", type=int, default=None, help=f"truncation order [default: OSPDIM_ORDER or {DEFAULT_ORDER}]")
-@click.option("--route", type=click.Choice(["sum", "closed"]), default="sum", show_default=True, help="computation route for osp1")
-@click.option("--chirality", type=click.Choice(["last", "next_to_last"]), default="last", show_default=True, help="which so(2k) chirality")
+@click.option("--route", type=click.Choice(list(dict.fromkeys(r for f in FAMILIES.values() for r in f.routes))),
+              help="computation route [default: the family's first]")
+@click.option("--chirality", type=click.Choice(FAMILIES["soEven"].params["chirality"]),
+              help="which so(2k) chirality, soEven only [default: last]")
 @click.option("--format", "fmt", type=FORMATS, default="text", show_default=True)
 def series(family, m, n, k, p, order, route, chirality, fmt):
     """t-expansion of one dimension or superdimension series."""
     order = _resolve_order(order)
-    spec = _spec(family, {"m": m, "n": n, "k": k, "p": p}, chirality=chirality)
+    spec = _spec(family, {"m": m, "n": n, "k": k, "p": p, "chirality": chirality}, chirality="last")
     routes = FAMILIES[family].routes
-    meta_route = route if route in routes else next(iter(routes))
-    out = routes[meta_route](spec, order)
+    route = route or next(iter(routes))
+    if route not in routes:
+        raise click.UsageError(f"family {family!r} has no route {route!r}; choose from {', '.join(routes)}")
+    out = routes[route](spec, order)
     if fmt == "json":
-        payload = {"spec": spec.to_json_dict(), "meta": {"route": meta_route}}
+        payload = {"spec": spec.to_json_dict(), "meta": {"route": route}}
         payload.update(out.to_json_dict())
         click.echo(json.dumps(payload))
     elif fmt == "csv":
@@ -192,10 +198,6 @@ def series(family, m, n, k, p, order, route, chirality, fmt):
 def verify(case, m, n, k, p, order, fmt):
     """Compare both sides of one correspondence; exit 1 on mismatch."""
     order = _resolve_order(order)
-    row = CASES[case]
-    for name, value in (("m", m), ("n", n), ("k", k), ("p", p)):
-        if value is not None and name not in (*row.bounds, row.free):
-            raise click.UsageError(f"case {case!r} takes no option --{name}")
     try:
         report = verify_correspondence(case, k=k, p=p, n=n, m=m, order=order)
     except ValueError as exc:
@@ -231,22 +233,19 @@ def verify(case, m, n, k, p, order, fmt):
 def sweep(case, k_max, p_max, free_count, order, fmt):
     """Run a correspondence over parameter ranges; exit 1 on any mismatch."""
     order = _resolve_order(order, default=12)
-    cases = list(CASES) if case == "all" else [case]
-    rows = []
-    mismatches = 0
     highest = {"k": k_max, "p": p_max}
-    for c in cases:
+    plan = []
+    for c in list(CASES) if case == "all" else [case]:
         row = CASES[c]
         axes = {name: range(low, highest[name] + 1) for name, low in row.bounds.items()}
         if row.free:
             axes[row.free] = range(1, free_count + 1)
-        for values in itertools.product(*axes.values()):
-            params = dict(zip(axes, values))
-            report = verify_correspondence(c, order=order, **params)
-            rows.append((c, params, report))
-            mismatches += not report.match
-    if not rows:
-        raise click.UsageError("the parameter ranges give no combinations to check")
+        combos = [(c, dict(zip(axes, values))) for values in itertools.product(*axes.values())]
+        if not combos:
+            raise click.UsageError(f"the parameter ranges give case {c!r} no combinations to check")
+        plan += combos
+    rows = [(c, params, verify_correspondence(c, order=order, **params)) for c, params in plan]
+    mismatches = sum(not r.match for _, _, r in rows)
     if fmt == "json":
         click.echo(
             json.dumps(

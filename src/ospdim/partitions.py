@@ -207,20 +207,23 @@ def partition_tuples(
         if bound is not None and bound < 0:
             raise ValueError(f"{name} must be non-negative, got {bound}")
     part_cap = max_weight if max_part is None else max_part
-    len_cap = max_weight if max_len is None else max_len
-    return _preorder(max_weight, part_cap, len_cap)
+    len_cap = max_weight if max_len is None else min(max_len, max_weight)
+    return _preorder(max_weight, (part_cap,) * len_cap)
 
 
-def _preorder(max_weight: int, part_cap: int, len_cap: int) -> Stream:
-    # a node's children are pushed smallest part first, so the largest pops first
+def _preorder(max_weight: int, caps: tuple[int, ...]) -> Stream:
+    # row i holds at most caps[i], and len(caps) rows at most; a node's children
+    # are pushed smallest part first, so the largest pops first
     stack = [((), 0)]
     pop, push = stack.pop, stack.append
+    rows = len(caps)
     while stack:
         node = pop()
         yield node
         parts, weight = node
-        if len(parts) < len_cap:
-            top = min(parts[-1] if parts else part_cap, max_weight - weight)
+        i = len(parts)
+        if i < rows:
+            top = min(parts[-1] if parts else caps[0], caps[i], max_weight - weight)
             for c in range(1, top + 1):
                 push((parts + (c,), weight + c))
 
@@ -298,20 +301,8 @@ def enum_offset_forms(n: int, p: int) -> Iterator[tuple[FrobeniusForm, int]]:
 
 
 def subpartitions(lam: Partition, max_len: int | None = None) -> Iterator[Partition]:
-    """All partitions contained in the diagram of lam, optionally with a
-    bounded number of parts."""
-    rows = len(lam) if max_len is None else min(max_len, len(lam))
-
-    def rec(i: int, cap: int) -> Iterator[tuple[int, ...]]:
-        if i == rows:
-            yield ()
-            return
-        for v in range(min(cap, lam[i]), -1, -1):
-            if v == 0:
-                yield ()
-                return
-            for rest in rec(i + 1, v):
-                yield (v,) + rest
-
-    for t in rec(0, lam[0] if lam else 0):
-        yield Partition(t)
+    """All partitions contained in the diagram of lam, optionally with at
+    most max_len parts, each once and in no promised order."""
+    if max_len is not None and max_len < 0:
+        raise ValueError(f"max_len must be non-negative, got {max_len}")
+    return (Partition(parts) for parts, _ in _preorder(lam.weight, lam.parts[:max_len]))

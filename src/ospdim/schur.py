@@ -118,9 +118,7 @@ def sdim_gl(m: int, n: int, lam: Partition) -> int:
 
 # -- Littlewood-Richardson coefficients -------------------------------------
 
-_LR_CACHE: dict[tuple[tuple[int, ...], tuple[int, ...]], dict[tuple[int, ...], int]] = {}
-
-
+@cache
 def lr_expansion(outer: Partition, inner: Partition) -> Mapping[tuple[int, ...], int]:
     """Multiplicities of every content nu in the skew Schur expansion
     s_{outer/inner} = sum_nu c^{outer}_{inner,nu} s_nu.
@@ -131,13 +129,8 @@ def lr_expansion(outer: Partition, inner: Partition) -> Mapping[tuple[int, ...],
     reverse reading order lets every constraint be checked incrementally.
     Results are cached; treat the returned mapping as read-only.
     """
-    key = (outer.parts, inner.parts)
-    cached = _LR_CACHE.get(key)
-    if cached is not None:
-        return cached
     if not outer.contains(inner):
-        _LR_CACHE[key] = {}
-        return _LR_CACHE[key]
+        return {}
 
     nrows = len(outer)
     cells = [
@@ -175,7 +168,6 @@ def lr_expansion(outer: Partition, inner: Partition) -> Mapping[tuple[int, ...],
         grid[i][j] = 0
 
     fill(0)
-    _LR_CACHE[key] = found
     return found
 
 

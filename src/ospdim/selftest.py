@@ -226,8 +226,9 @@ def _check_d21() -> None:
     _expect(str(d21_sdim_t(2, 4)), "3 - 4t + 4t^2 - 4t^3 + 4t^4", "D(2,1;alpha) p=2 series")
     for p in (1, 2, 3, 5):
         _expect(d21_sdim_t(p, 14), d21_sdim_closed(p, 14), f"closed form p={p}")
-        total = Fraction(1 - p) + Fraction(2 * p, 2)
-        _expect(total, Fraction(1), f"value of the closed form at t=1, p={p}")
+        # (1 + t) times the closed form is (1 + p) + (1 - p)t, which is 2 at t = 1
+        at_one = (d21_sdim_closed(p, 14) * polynomial([1, 1], 14)).eval_at_one()
+        _expect(at_one, (Fraction(2), True), f"value of the closed form at t=1, p={p}")
 
 
 def _check_correspondences() -> None:

@@ -368,7 +368,8 @@ class TestD21:
 class TestVerify:
     def test_all_cases_match(self):
         for case in CASES:
-            report = verify_correspondence(case, k=2, p=1, order=10)
+            k = {"k": 2} if "k" in CASES[case].bounds else {}
+            report = verify_correspondence(case, **k, p=1, order=10)
             assert isinstance(report, CorrespondenceReport)
             assert report.case == case
             assert report.match, case

@@ -227,6 +227,16 @@ class TestSweep:
         result = run("sweep", "--case", "d21-vs-so2", "--p-max", "0", "--format", "json")
         assert result.exit_code == 2
 
+    def test_every_case_of_a_sweep_checks_something(self):
+        # each run leaves some cases with combinations, but not the one named
+        for args in (["--k-max", "0", "--p-max", "1"], ["--free-count", "0"]):
+            result = run("sweep", *args, "--order", "4")
+            assert result.exit_code == 2, args
+            assert "case 'ospB-vs-soOdd' no combinations to check" in result.output
+        result = run("sweep", "--k-max", "1", "--p-max", "0", "--order", "4")
+        assert result.exit_code == 2
+        assert "case 'ospD-vs-soEven' no combinations to check" in result.output
+
 
 class TestSelftest:
     def test_passes_and_is_deterministic(self):

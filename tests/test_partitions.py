@@ -315,6 +315,23 @@ class TestSubpartitions:
         lam = Partition([3, 2, 2, 1])
         assert all(len(mu) <= 2 for mu in subpartitions(lam, max_len=2))
 
+    def test_every_contained_partition_once(self):
+        for lam in enum_partitions(8):
+            for max_len in (None, 0, 1, 2):
+                got = [mu.parts for mu in subpartitions(lam, max_len)]
+                want = {mu.parts for mu in enum_partitions(8, None, max_len) if lam.contains(mu)}
+                assert len(got) == len(set(got)), (lam, max_len)
+                assert set(got) == want, (lam, max_len)
+
+    def test_negative_max_len_rejected_on_the_call(self):
+        with pytest.raises(ValueError):
+            subpartitions(Partition([2, 1]), -1)
+
+    def test_still_importable_from_schur(self):
+        from ospdim import schur
+
+        assert schur.subpartitions is subpartitions
+
 
 class TestNegativeBounds:
     def test_every_enumerator_rejects_a_negative_bound(self):

@@ -9,6 +9,7 @@ from ospdim.characters import (
     CASES,
     FAMILIES,
     IrrepSpec,
+    d21_sdim_closed,
     d21_sdim_t,
     osp1_dim_t,
     ospB_sdim_t,
@@ -17,8 +18,10 @@ from ospdim.characters import (
     so_odd_dim_t,
     sp_dim_t,
     spinor_tdim,
+    verify_correspondence,
 )
 from ospdim.cli import main
+from ospdim.series import TruncatedSeries
 
 
 def run(*args):
@@ -108,6 +111,7 @@ SERIES = [
     ),
     ("sp", "branching", {"k": 3, "p": 2}, lambda o: sp_dim_t(3, 2, o)),
     ("d21", "branching", {"p": 3}, lambda o: d21_sdim_t(3, o)),
+    ("d21", "closed", {"p": 3}, lambda o: d21_sdim_closed(3, o)),
     ("spinor", "closed", {"m": 1, "n": 3}, lambda o: spinor_tdim(1, 3, o)),
 ]
 
@@ -138,10 +142,10 @@ class TestUnusedOptionsRejected:
     def test_verify_examples(self):
         result = run("verify", "--case", "d21-vs-so2", "--p", "2", "--k", "99")
         assert result.exit_code == 2
-        assert "takes no option --k" in result.output
+        assert "takes no parameter k" in result.output
         result = run("verify", "--case", "ospB-vs-soOdd", "--k", "2", "--p", "1", "--m", "7")
         assert result.exit_code == 2
-        assert "takes no option --m" in result.output
+        assert "takes no parameter m" in result.output
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_verify_every_case(self, case):
@@ -156,7 +160,7 @@ class TestUnusedOptionsRejected:
             if name not in (*row.bounds, row.free):
                 result = run(*base, f"--{name}", "1")
                 assert result.exit_code == 2, (case, name)
-                assert f"takes no option --{name}" in result.output
+                assert f"takes no parameter {name}" in result.output
 
     def test_series_option_not_taken(self):
         result = run("series", "--family", "ospB", "--m", "2", "--n", "1", "--p", "1", "--k", "9")
@@ -188,3 +192,57 @@ class TestUnusedOptionsRejected:
         result = run("dim", "--family", "spinor", "--n", "1")
         assert result.exit_code == 2
         assert "missing required option --m" in result.output
+
+
+def lowest_case(case: str) -> dict:
+    row = CASES[case]
+    return {**row.bounds, **({row.free: 1} if row.free else {})}
+
+
+class TestCaseSidesNameFamilyRoutes:
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_distinct_routes_of_the_family_table(self, case):
+        row = CASES[case]
+        named = []
+        for side in (row.left, row.right):
+            family = side.spec(**lowest_case(case)).family
+            assert side.route in FAMILIES[family].routes
+            named.append((family, side.route))
+        assert named[0] != named[1]
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_series_command_gives_each_side(self, case):
+        args = ["verify", "--case", case, "--order", "7", "--format", "json"]
+        for name, value in lowest_case(case).items():
+            args += [f"--{name}", str(value + 1)]
+        report = json.loads(run(*args).output)
+        for side in (report["left"], report["right"]):
+            route = side["route"].removesuffix(" at -t")
+            spec = side["spec"]
+            args = ["series", "--family", spec["family"], "--route", route, "--order", "7",
+                    "--format", "json"]
+            for name in FAMILIES[spec["family"]].params:
+                args += [f"--{name}", str(spec[name])]
+            result = run(*args)
+            assert result.exit_code == 0, result.output
+            got = TruncatedSeries.from_json_dict(json.loads(result.output))
+            if route != side["route"]:
+                got = got.substitute_neg_t()
+            assert got.to_json_dict() == {"order": side["order"], "coeffs": side["coeffs"]}
+
+
+class TestStrictParameters:
+    def test_verify_correspondence_refuses_unused_parameters(self):
+        with pytest.raises(ValueError, match="takes no parameter k"):
+            verify_correspondence("d21-vs-so2", p=2, k=99)
+        with pytest.raises(ValueError, match="takes no parameter m"):
+            verify_correspondence("ospB-vs-soOdd", k=2, p=1, m=7)
+
+    def test_series_refuses_chirality_and_route_a_family_lacks(self):
+        base = ["series", "--family", "ospB", "--m", "2", "--n", "1", "--p", "1"]
+        result = run(*base, "--chirality", "next_to_last")
+        assert result.exit_code == 2
+        assert "takes no parameter chirality" in result.output
+        result = run(*base, "--route", "closed")
+        assert result.exit_code == 2
+        assert "has no route 'closed'" in result.output
