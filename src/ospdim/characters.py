@@ -29,6 +29,7 @@ from typing import Callable, NamedTuple, Sequence
 
 # enum_D and enum_partitions stay importable here for bench/layertrace.py
 from .partitions import (
+    Partition,
     Stream,
     conjugate_parts,
     doubled_tuples,
@@ -329,6 +330,8 @@ class IrrepSpec:
                 raise ValueError(f"family {self.family!r} needs {name} {' or '.join(rule)}")
             if isinstance(rule, int) and value < rule:
                 raise ValueError(f"family {self.family!r} needs {name} >= {rule}, got {value}")
+            if rule is None and tuple(value) != Partition(value).parts:
+                raise ValueError(f"family {self.family!r} needs {name} a partition, got {value}")
         for name in ("m", "n", "k", "p", "chirality", "lam"):
             if name not in params and getattr(self, name) is not None:
                 raise ValueError(f"family {self.family!r} takes no parameter {name}")
@@ -475,6 +478,8 @@ def verify_correspondence(
     params = {name: given[name] for name in row.bounds}
     if row.free:
         params[row.free] = 1 if given[row.free] is None else given[row.free]
+        if params[row.free] < 0:
+            raise ValueError(f"case {case!r} needs {row.free} >= 0")
     left, right = row.left.compute(params, order), row.right.compute(params, order)
     div = left.series.first_divergence(right.series)
     return CorrespondenceReport(case, left, right, div is None, div)

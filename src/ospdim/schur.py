@@ -7,15 +7,23 @@ against each other in tests; none of them is defined in terms of another.
 The Weyl product is memoized per process on (n, parts), since the branching
 sums on both sides of a correspondence ask for the same few gl(n) dimensions
 many times over; the hook-content and Frobenius formulas stay uncached.
+
+Schur polynomials are evaluated in one place, `super_schur_eval`: the
+supersymmetric Jacobi-Trudi determinant det(h_{lam_i-i+j}(x | y)), with
+sum_k h_k(x | y) u^k = prod (1 + y_j u) / prod (1 - x_i u), taken over the
+integers at the coordinates scaled by the lcm D of their denominators and
+divided by D^|lam|.  Littlewood-Richardson coefficients come from tableau
+enumeration, and no evaluation uses them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import factorial, lcm
 from typing import Mapping, Sequence
 
+# subpartitions stays importable here for bench/layertrace.py
 from .partitions import FrobeniusForm, Partition, subpartitions
 
 
@@ -118,7 +126,6 @@ def sdim_gl(m: int, n: int, lam: Partition) -> int:
 
 # -- Littlewood-Richardson coefficients -------------------------------------
 
-@cache
 def lr_expansion(outer: Partition, inner: Partition) -> Mapping[tuple[int, ...], int]:
     """Multiplicities of every content nu in the skew Schur expansion
     s_{outer/inner} = sum_nu c^{outer}_{inner,nu} s_nu.
@@ -127,7 +134,6 @@ def lr_expansion(outer: Partition, inner: Partition) -> Mapping[tuple[int, ...],
     the skew diagram: semistandard, with the reverse reading word (rows read
     right to left, top to bottom) a lattice word.  Filling the boxes in
     reverse reading order lets every constraint be checked incrementally.
-    Results are cached; treat the returned mapping as read-only.
     """
     if not outer.contains(inner):
         return {}
@@ -183,84 +189,64 @@ def lr_coefficient(outer: Partition, inner: Partition, content: Partition) -> in
 # -- exact Schur evaluation --------------------------------------------------
 
 
-def _complete_homogeneous(xs: Sequence[Fraction], top: int) -> list[Fraction]:
-    """h_0 .. h_top of the given variables, by adding one variable at a time
-    via h_k(x, y..) = h_k(y..) + x * h_{k-1}(x, y..)."""
-    hs = [Fraction(0)] * (top + 1)
-    hs[0] = Fraction(1)
-    for x in xs:
-        for k in range(1, top + 1):
-            hs[k] += x * hs[k - 1]
-    return hs
-
-
-def _det(mat: list[list[Fraction]]) -> Fraction:
-    """Determinant by fraction-exact Gaussian elimination."""
+def _bareiss_det(mat: list[list[int]]) -> int:
+    """Determinant of a non-empty integer matrix by fraction-free (Bareiss)
+    elimination.  Every division is exact; a zero pivot is swapped with the
+    first lower row that is non-zero in its column."""
     n = len(mat)
-    sign = 1
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if mat[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            mat[col], mat[pivot] = mat[pivot], mat[col]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if mat[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if mat[r][k]), None)
+            if swap is None:
+                return 0
+            mat[k], mat[swap] = mat[swap], mat[k]
             sign = -sign
-        p = mat[col][col]
-        det *= p
-        for r in range(col + 1, n):
-            if mat[r][col]:
-                f = mat[r][col] / p
-                for c in range(col, n):
-                    mat[r][c] -= f * mat[col][c]
-    return det * sign
+        pivot = mat[k][k]
+        for i in range(k + 1, n):
+            row, lead = mat[i], mat[i][k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - lead * mat[k][j]) // prev
+        prev = pivot
+    return sign * mat[-1][-1]
 
 
 def schur_eval(lam: Partition, xs: Sequence) -> Fraction:
-    """Exact value of the Schur polynomial s_lam at the given coordinates.
-
-    Evaluated as the Jacobi-Trudi determinant det(h_{lam_i - i + j}) in the
-    complete homogeneous polynomials, which stays well defined at repeated
-    coordinates where the bialternant quotient degenerates to 0/0.
-    """
-    xs = [Fraction(x) for x in xs]
-    ell = len(lam)
-    if ell == 0:
-        return Fraction(1)
-    if ell > len(xs):
-        return Fraction(0)
-    top = lam[0] + ell - 1
-    hs = _complete_homogeneous(xs, top)
-
-    def h(k: int) -> Fraction:
-        if k < 0:
-            return Fraction(0)
-        return hs[k]
-
-    mat = [[h(lam[i] - (i + 1) + (j + 1)) for j in range(ell)] for i in range(ell)]
-    return _det(mat)
+    """Exact value of the Schur polynomial s_lam at the given coordinates:
+    s_lam(x | ()), the integer Jacobi-Trudi determinant det(h_{lam_i-i+j}(x))
+    of `super_schur_eval` with no odd coordinates; 0 when lam is longer
+    than the number of coordinates."""
+    return super_schur_eval(lam, xs, ())
 
 
 def super_schur_eval(lam: Partition, xs: Sequence, ys: Sequence) -> Fraction:
-    """Exact value of the supersymmetric Schur polynomial s_lam(x | y),
-    expanded as sum over mu, nu of c^lam_{mu,nu} s_mu(x) s_{nu'}(y).
+    """Exact value of the supersymmetric Schur polynomial s_lam(x | y) as the
+    Jacobi-Trudi determinant det(h_{lam_i-i+j}(x | y)), where
+    sum_k h_k(x | y) u^k = prod_j (1 + y_j u) / prod_i (1 - x_i u).
 
-    Vanishes unless lam fits in the (m,n) fat hook, i.e. lam_{m+1} <= n.
+    With D the lcm of the coordinates' denominators, the determinant is taken
+    fraction-free at the integers (D x | D y) and divided by D^|lam|, since
+    s_lam is homogeneous of degree |lam|.  It stays defined at repeated
+    coordinates, and vanishes unless lam fits in the (m,n) fat hook, i.e.
+    lam_{m+1} <= n.
     """
     xs = [Fraction(x) for x in xs]
     ys = [Fraction(y) for y in ys]
-    m, n = len(xs), len(ys)
-    if lam[m] > n:
+    if lam[len(xs)] > len(ys):
         return Fraction(0)
-    total = Fraction(0)
-    for mu in subpartitions(lam, max_len=m):
-        sx = schur_eval(mu, xs)
-        if sx == 0:
-            continue
-        for nu_parts, c in lr_expansion(lam, mu).items():
-            if nu_parts and nu_parts[0] > n:
-                continue  # conjugate would need more than n variables
-            sy = schur_eval(Partition(nu_parts).conjugate(), ys)
-            if sy:
-                total += c * sx * sy
-    return total
+    ell = len(lam)
+    if ell == 0:
+        return Fraction(1)
+    d = lcm(*(c.denominator for c in xs + ys))
+    top = lam[0] + ell - 1
+    h = [1] + [0] * top
+    for x in xs:
+        a = x.numerator * (d // x.denominator)
+        for k in range(1, top + 1):
+            h[k] += a * h[k - 1]
+    for y in ys:
+        b = y.numerator * (d // y.denominator)
+        for k in range(top, 0, -1):
+            h[k] += b * h[k - 1]
+    mat = [[h[k] if k >= 0 else 0 for k in range(lam[i] - i, lam[i] - i + ell)] for i in range(ell)]
+    return Fraction(_bareiss_det(mat), d**lam.weight)

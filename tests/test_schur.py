@@ -60,6 +60,27 @@ def schur_brute(lam, xs):
     return total
 
 
+def lr_super_schur(lam, xs, ys):
+    """s_lam(x | y) as the Littlewood-Richardson sum over mu, nu of
+    c^lam_{mu,nu} s_mu(x) s_{nu'}(y), each factor a tableau sum: the
+    reference the determinant is checked against, sharing no code with it."""
+    total = Fraction(0)
+    for mu in subpartitions(lam, max_len=len(xs)):
+        sx = schur_brute(mu, xs)
+        if sx:
+            for nu_parts, c in lr_expansion(lam, mu).items():
+                total += c * sx * schur_brute(Partition(nu_parts).conjugate(), ys)
+    return total
+
+
+def random_point(rng, count):
+    """count seeded rational coordinates, about one in four of them 0."""
+    return [
+        Fraction(0) if rng.random() < 0.25 else Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        for _ in range(count)
+    ]
+
+
 class TestGlDimensions:
     def test_printed_values(self):
         lam = Partition([5, 4, 4, 2])
@@ -289,3 +310,35 @@ class TestSuperSchur:
                 for n in range(4):
                     got = super_schur_eval(lam, [Fraction(1)] * m, [Fraction(-1)] * n)
                     assert got == sdim_gl(m, n, lam), (lam, m, n)
+
+    def test_determinant_matches_lr_sum(self):
+        rng = random.Random(41)
+        for lam in enum_partitions(8):
+            for m in range(4):
+                for n in range(4):
+                    xs, ys = random_point(rng, m), random_point(rng, n)
+                    got = super_schur_eval(lam, xs, ys)
+                    assert got == lr_super_schur(lam, xs, ys), (lam, xs, ys)
+
+    def test_zero_first_pivot(self):
+        # h_1(1, 2 | -3) = 0, so the elimination must swap rows
+        assert super_schur_eval(Partition([1, 1]), [1, 2], [-3]) == 2
+
+    def test_properties(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        shapes = st.lists(st.integers(0, 3), max_size=4).map(
+            lambda parts: Partition(sorted(parts, reverse=True))
+        )
+        coords = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+        @hypothesis.settings(max_examples=60, deadline=None)
+        @hypothesis.given(
+            shapes, st.lists(coords, max_size=3), st.lists(coords, max_size=3), coords
+        )
+        def check(lam, xs, ys, w):
+            got = super_schur_eval(lam, xs, ys)
+            assert got == lr_super_schur(lam, xs, ys)
+            assert super_schur_eval(lam, [*xs, w], [*ys, -w]) == got
+
+        check()

@@ -75,6 +75,13 @@ class TestIrrepSpecChecks:
             with pytest.raises(ValueError, match=f"takes no parameter {name}"):
                 IrrepSpec(family, **lowest(family), **{name: value})
 
+    def test_lam_must_be_a_partition(self):
+        for lam in [(1, 2), (-1,)]:
+            with pytest.raises(ValueError):
+                IrrepSpec("gl", n=3, lam=lam)
+        with pytest.raises(ValueError, match=r"needs lam a partition, got \(2, 1, 0\)"):
+            IrrepSpec("gl", n=3, lam=(2, 1, 0))
+
     def test_table_covers_every_family(self):
         assert list(FAMILIES) == list(BOUNDS)
 
@@ -246,3 +253,11 @@ class TestStrictParameters:
         result = run(*base, "--route", "closed")
         assert result.exit_code == 2
         assert "has no route 'closed'" in result.output
+
+    def test_negative_free_parameter_blamed_on_itself(self):
+        with pytest.raises(ValueError, match="case 'ospB-vs-soOdd' needs n >= 0"):
+            verify_correspondence("ospB-vs-soOdd", k=2, p=1, n=-3)
+        result = run("verify", "--case", "ospB-vs-soOdd", "--k", "2", "--p", "1", "--n", "-3")
+        assert result.exit_code == 2
+        assert "case 'ospB-vs-soOdd' needs n >= 0" in result.output
+        assert verify_correspondence("ospB-vs-soOdd", k=2, p=1, n=0, order=6).match
