@@ -11,7 +11,9 @@ An option the chosen family or case does not take is a usage error: a
 Exit codes:
 
 0  success, and an all-match verdict
-1  a verification reports a mismatch, and nothing else
+1  a mathematical mismatch, and nothing else: a verify or sweep verdict, a
+   failed selftest check, or dim's Weyl, hook and Frobenius gl(n)
+   dimensions disagreeing
 2  usage error (click's default), including a sweep in which some case
    has no combination to check
 3  internal error: any other uncaught exception, reported as one
@@ -24,6 +26,8 @@ order can be set with the OSPDIM_ORDER environment variable.
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import json
 import os
@@ -35,7 +39,7 @@ from . import __version__
 from .characters import CASES, FAMILIES, IrrepSpec, spinor_sdim, verify_correspondence
 from .partitions import Partition
 from .schur import dim_gl_frobenius, dim_gl_hook, dim_gl_weyl, sdim_gl
-from .series import DEFAULT_ORDER, TruncatedSeries
+from .series import DEFAULT_ORDER
 from .selftest import run_selftest
 
 FORMATS = click.Choice(["text", "json", "csv"])
@@ -83,10 +87,23 @@ def _spec(family: str, given: dict, **defaults) -> IrrepSpec:
         raise click.UsageError(str(exc))
 
 
-def _series_csv(series: TruncatedSeries) -> str:
-    lines = ["power,coefficient"]
-    lines += [f"{k},{c}" for k, c in enumerate(series.coeffs)]
-    return "\n".join(lines)
+def _emit(fmt: str, failed: bool = False, **render) -> None:
+    """The one writer of every command's output, and the one exit 1, taken
+    after writing if a check failed.  `render` maps each format to a function
+    that builds it: json to the payload, csv to the rows (header first; the
+    `csv` module quotes a field that holds a comma), text to the lines.
+    Only the requested one is called."""
+    out = render[fmt]()
+    if fmt == "json":
+        click.echo(json.dumps(out))
+    elif fmt == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(out)
+        click.echo(buf.getvalue(), nl=False)
+    else:
+        click.echo("\n".join(out))
+    if failed:
+        sys.exit(1)
 
 
 class _Group(click.Group):
@@ -120,40 +137,26 @@ def dim(family, m, n, lam_text, fmt):
     """Integer dimension or superdimension of a single irrep."""
     lam = _parse_partition(lam_text, "--lambda")
     spec = _spec(family, {"m": m, "n": n, "lam": None if lam_text is None else lam.parts}, lam=())
+    columns = {"family": family}
+    columns.update(("lambda", spec.label) if name == "lam" else (name, getattr(spec, name))
+                   for name in FAMILIES[family].params)
+    payload = {"spec": spec.to_json_dict()}
+    agree = True
     if family == "gl":
         weyl = dim_gl_weyl(n, lam)
         hook = dim_gl_hook(n, lam)
         frob = dim_gl_frobenius(n, lam.frobenius())
         agree = weyl == hook == frob
-        payload = {
-            "spec": spec.to_json_dict(),
-            "value": weyl,
-            "weyl": weyl,
-            "hook": hook,
-            "frobenius": frob,
-            "agreement": agree,
-        }
-        text = [str(weyl), f"weyl=hook=frobenius: {'true' if agree else 'false'}"]
-        csv = [
-            "family,n,lambda,value,agreement",
-            f"gl,{n},{spec.label},{weyl},{str(agree).lower()}",
-        ]
-    elif family == "glsuper":
-        value = sdim_gl(m, n, lam)
-        payload = {"spec": spec.to_json_dict(), "value": value}
-        text = [str(value)]
-        csv = ["family,m,n,lambda,value", f"glsuper,{m},{n},{spec.label},{value}"]
+        flag = "true" if agree else "false"
+        payload.update(value=weyl, weyl=weyl, hook=hook, frobenius=frob, agreement=agree)
+        columns.update(value=weyl, agreement=flag)
+        lines = [str(weyl), f"weyl=hook=frobenius: {flag}"]
     else:
-        value = spinor_sdim(m, n)
-        payload = {"spec": spec.to_json_dict(), "value": str(value)}
-        text = [str(value)]
-        csv = ["family,m,n,value", f"spinor,{m},{n},{value}"]
-    if fmt == "json":
-        click.echo(json.dumps(payload))
-    elif fmt == "csv":
-        click.echo("\n".join(csv))
-    else:
-        click.echo("\n".join(text))
+        value = sdim_gl(m, n, lam) if family == "glsuper" else str(spinor_sdim(m, n))
+        payload["value"] = columns["value"] = value
+        lines = [str(value)]
+    _emit(fmt, failed=not agree, json=lambda: payload, csv=lambda: [list(columns), list(columns.values())],
+          text=lambda: lines)
 
 
 @main.command()
@@ -177,14 +180,12 @@ def series(family, m, n, k, p, order, route, chirality, fmt):
     if route not in routes:
         raise click.UsageError(f"family {family!r} has no route {route!r}; choose from {', '.join(routes)}")
     out = routes[route](spec, order)
-    if fmt == "json":
-        payload = {"spec": spec.to_json_dict(), "meta": {"route": route}}
-        payload.update(out.to_json_dict())
-        click.echo(json.dumps(payload))
-    elif fmt == "csv":
-        click.echo(_series_csv(out))
-    else:
-        click.echo(str(out))
+    _emit(
+        fmt,
+        json=lambda: {"spec": spec.to_json_dict(), "meta": {"route": route}, **out.to_json_dict()},
+        csv=lambda: [("power", "coefficient"), *enumerate(out.coeffs)],
+        text=lambda: [str(out)],
+    )
 
 
 @main.command()
@@ -202,25 +203,22 @@ def verify(case, m, n, k, p, order, fmt):
         report = verify_correspondence(case, k=k, p=p, n=n, m=m, order=order)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    if fmt == "json":
-        click.echo(json.dumps(report.to_json_dict()))
-    elif fmt == "csv":
-        click.echo("case,order,verdict,first_divergence")
-        div = "" if report.first_divergence is None else report.first_divergence
-        verdict = "match" if report.match else "mismatch"
-        click.echo(f"{case},{order},{verdict},{div}")
-    else:
-        click.echo(f"case {case} (order {order})")
-        click.echo(f"left : {report.left.spec.describe()} via {report.left.route}")
-        click.echo(f"       {report.left.series}")
-        click.echo(f"right: {report.right.spec.describe()} via {report.right.route}")
-        click.echo(f"       {report.right.series}")
-        if report.match:
-            click.echo("verdict: match")
-        else:
-            click.echo(f"verdict: mismatch, first divergence at t^{report.first_divergence}")
-    if not report.match:
-        sys.exit(1)
+    div = report.first_divergence
+    _emit(
+        fmt,
+        failed=not report.match,
+        json=report.to_json_dict,
+        csv=lambda: [("case", "order", "verdict", "first_divergence"),
+                     (case, order, "match" if report.match else "mismatch", div)],
+        text=lambda: [
+            f"case {case} (order {order})",
+            f"left : {report.left.spec.describe()} via {report.left.route}",
+            f"       {report.left.series}",
+            f"right: {report.right.spec.describe()} via {report.right.route}",
+            f"       {report.right.series}",
+            "verdict: match" if report.match else f"verdict: mismatch, first divergence at t^{div}",
+        ],
+    )
 
 
 @main.command()
@@ -244,37 +242,35 @@ def sweep(case, k_max, p_max, free_count, order, fmt):
         if not combos:
             raise click.UsageError(f"the parameter ranges give case {c!r} no combinations to check")
         plan += combos
-    rows = [(c, params, verify_correspondence(c, order=order, **params)) for c, params in plan]
-    mismatches = sum(not r.match for _, _, r in rows)
-    if fmt == "json":
-        click.echo(
-            json.dumps(
-                {
-                    "order": order,
-                    "checked": len(rows),
-                    "mismatches": mismatches,
-                    "results": [
-                        {"case": c, "params": params, "verdict": "match" if r.match else "mismatch",
-                         "first_divergence": r.first_divergence}
-                        for c, params, r in rows
-                    ],
-                }
-            )
-        )
-    elif fmt == "csv":
-        click.echo("case,params,order,verdict,first_divergence")
-        for c, params, r in rows:
-            ps = " ".join(f"{k}={v}" for k, v in params.items())
-            div = "" if r.first_divergence is None else r.first_divergence
-            click.echo(f"{c},{ps},{order},{'match' if r.match else 'mismatch'},{div}")
-    else:
-        for c, params, r in rows:
-            ps = " ".join(f"{k}={v}" for k, v in params.items())
-            verdict = "match" if r.match else f"MISMATCH at t^{r.first_divergence}"
-            click.echo(f"{c} {ps}: {verdict}")
-        click.echo(f"checked {len(rows)} combinations at order {order}: {mismatches} mismatch(es)")
-    if mismatches:
-        sys.exit(1)
+    rows = []
+    for c, params in plan:
+        report = verify_correspondence(c, order=order, **params)
+        rows.append((c, params, "match" if report.match else "mismatch", report.first_divergence))
+    mismatches = sum(verdict == "mismatch" for _, _, verdict, _ in rows)
+
+    def listed(params: dict) -> str:
+        return " ".join(f"{name}={value}" for name, value in params.items())
+
+    _emit(
+        fmt,
+        failed=mismatches > 0,
+        json=lambda: {
+            "order": order,
+            "checked": len(rows),
+            "mismatches": mismatches,
+            "results": [{"case": c, "params": params, "verdict": verdict, "first_divergence": div}
+                        for c, params, verdict, div in rows],
+        },
+        csv=lambda: [
+            ("case", "params", "order", "verdict", "first_divergence"),
+            *((c, listed(params), order, verdict, div) for c, params, verdict, div in rows),
+        ],
+        text=lambda: [
+            *(f"{c} {listed(params)}: " + ("match" if verdict == "match" else f"MISMATCH at t^{div}")
+              for c, params, verdict, div in rows),
+            f"checked {len(rows)} combinations at order {order}: {mismatches} mismatch(es)",
+        ],
+    )
 
 
 @main.command()
@@ -283,32 +279,24 @@ def sweep(case, k_max, p_max, free_count, order, fmt):
 def selftest(seed, fmt):
     """Recompute every built-in golden example; exit 1 on any failure."""
     results = run_selftest(seed=seed)
-    failures = [r for r in results if not r.ok]
-    if fmt == "json":
-        click.echo(
-            json.dumps(
-                {
-                    "seed": seed,
-                    "passed": len(results) - len(failures),
-                    "failed": len(failures),
-                    "results": [
-                        {"name": r.name, "ok": r.ok, "detail": r.detail} for r in results
-                    ],
-                }
-            )
-        )
-    elif fmt == "csv":
-        click.echo("name,status,detail")
-        for r in results:
-            click.echo(f"{r.name},{'ok' if r.ok else 'fail'},{r.detail}")
-    else:
-        for r in results:
-            mark = "ok  " if r.ok else "FAIL"
-            suffix = f" ({r.detail})" if r.detail else ""
-            click.echo(f"{mark} {r.name}{suffix}")
-        click.echo(f"{len(results) - len(failures)}/{len(results)} checks passed")
-    if failures:
-        sys.exit(1)
+    passed = sum(r.ok for r in results)
+    _emit(
+        fmt,
+        failed=passed < len(results),
+        json=lambda: {
+            "seed": seed,
+            "passed": passed,
+            "failed": len(results) - passed,
+            "results": [{"name": r.name, "ok": r.ok, "detail": r.detail} for r in results],
+        },
+        csv=lambda: [("name", "status", "detail"),
+                     *((r.name, "ok" if r.ok else "fail", r.detail) for r in results)],
+        text=lambda: [
+            *(("ok   " if r.ok else "FAIL ") + r.name + (f" ({r.detail})" if r.detail else "")
+              for r in results),
+            f"{passed}/{len(results)} checks passed",
+        ],
+    )
 
 
 if __name__ == "__main__":

@@ -3,6 +3,8 @@ used by the character sums.
 
 A partition is stored as a weakly decreasing tuple of positive parts; trailing
 zeros are stripped on construction, so the zero partition is the empty tuple.
+A part or Frobenius coordinate must be an int: a float, string or bool raises
+ValueError rather than being rounded or cast.
 
 One non-recursive depth-first enumerator, `partition_tuples`, walks the tree
 in which a partition's children append one part no larger than its last.  It
@@ -22,6 +24,15 @@ from operator import itemgetter
 from typing import Iterable, Iterator
 
 
+def _integers(values: Iterable[int], what: str) -> tuple[int, ...]:
+    """The values as a tuple; ValueError if one is not an int."""
+    values = tuple(values)
+    for v in values:
+        if type(v) is not int:
+            raise ValueError(f"{what} must be integers, got {v!r}")
+    return values
+
+
 class Partition:
     """An integer partition with 0-padded indexing.
 
@@ -35,7 +46,7 @@ class Partition:
     __slots__ = ("_parts",)
 
     def __init__(self, parts: Iterable[int] = ()):
-        parts = tuple(int(p) for p in parts)
+        parts = _integers(parts, "parts")
         while parts and parts[-1] == 0:
             parts = parts[:-1]
         for a, b in zip(parts, parts[1:]):
@@ -128,8 +139,8 @@ class FrobeniusForm:
     __slots__ = ("_arms", "_legs")
 
     def __init__(self, arms: Iterable[int], legs: Iterable[int]):
-        arms = tuple(int(a) for a in arms)
-        legs = tuple(int(b) for b in legs)
+        arms = _integers(arms, "coordinates")
+        legs = _integers(legs, "coordinates")
         if len(arms) != len(legs):
             raise ValueError("arm and leg sequences must have equal length")
         for seq in (arms, legs):

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -11,6 +13,88 @@ from ospdim.series import TruncatedSeries
 
 def run(*args, env=None):
     return CliRunner().invoke(main, list(args), env=env)
+
+
+# The output contract: exact stdout and exit code of every command in each
+# format, plus two usage errors.  Editing a row changes what users see.
+CONTRACT = [
+    ('dim --family gl --n 3 --lambda 2,1',
+     '8\nweyl=hook=frobenius: true\n',
+     0),
+    ('dim --family gl --n 3 --lambda 2,1 --format json',
+     '{"spec": {"family": "gl", "label": "(2,1)", "m": null, "n": 3, "k": null, "p": null, "lambda": [2, 1]}, "value": 8, "weyl": 8, "hook": 8, "frobenius": 8, "agreement": true}\n',
+     0),
+    ('dim --family gl --n 3 --lambda 2,1 --format csv',
+     'family,n,lambda,value,agreement\ngl,3,"(2,1)",8,true\n',
+     0),
+    ('dim --family glsuper --m 1 --n 3 --lambda 2,1',
+     '-2\n',
+     0),
+    ('dim --family glsuper --m 1 --n 3 --lambda 2,1 --format json',
+     '{"spec": {"family": "glsuper", "label": "(2,1)", "m": 1, "n": 3, "k": null, "p": null, "lambda": [2, 1]}, "value": -2}\n',
+     0),
+    ('dim --family glsuper --m 1 --n 3 --lambda 2,1 --format csv',
+     'family,m,n,lambda,value\nglsuper,1,3,"(2,1)",-2\n',
+     0),
+    ('dim --family spinor --m 1 --n 3',
+     '1/4\n',
+     0),
+    ('dim --family spinor --m 1 --n 3 --format json',
+     '{"spec": {"family": "spinor", "label": "[0,0,0,1]", "m": 1, "n": 3, "k": null, "p": null}, "value": "1/4"}\n',
+     0),
+    ('dim --family spinor --m 1 --n 3 --format csv',
+     'family,m,n,value\nspinor,1,3,1/4\n',
+     0),
+    ('series --family ospB --m 5 --n 2 --p 2 --order 8',
+     '1 + 3t + 9t^2 + 9t^3 + 9t^4 + 3t^5 + t^6\n',
+     0),
+    ('series --family osp1 --n 3 --p 2 --order 4 --route closed --format json',
+     '{"spec": {"family": "osp1", "label": "[0,0,-2]", "m": null, "n": 3, "k": null, "p": 2}, "meta": {"route": "closed"}, "order": 4, "coeffs": ["1", "3", "9", "18", "36"]}\n',
+     0),
+    ('series --family soEven --k 4 --p 1 --order 3 --chirality next_to_last --format csv',
+     'power,coefficient\n0,4\n1,0\n2,4\n3,0\n',
+     0),
+    ('verify --case ospB-vs-soOdd --k 2 --p 1 --n 1 --order 4',
+     'case ospB-vs-soOdd (order 4)\nleft : [0,0,0,1] osp(7|2) via branching\n       1 + 2t + t^2\nright: [0,1] so(5) via branching\n       1 + 2t + t^2\nverdict: match\n',
+     0),
+    ('verify --case ospD-vs-sp --k 2 --p 1 --m 1 --order 3 --format json',
+     '{"case": "ospD-vs-sp", "left": {"spec": {"family": "ospD", "label": "[0,0,0,1]", "m": 1, "n": 3, "k": null, "p": 1}, "route": "branching", "order": 3, "coeffs": ["1", "0", "3", "0"]}, "right": {"spec": {"family": "sp", "label": "[0,-1/2]", "m": null, "n": null, "k": 2, "p": 1}, "route": "branching at -t", "order": 3, "coeffs": ["1", "0", "3", "0"]}, "verdict": "match", "first_divergence": null}\n',
+     0),
+    ('verify --case d21-vs-so2 --p 3 --order 6 --format csv',
+     'case,order,verdict,first_divergence\nd21-vs-so2,6,match,\n',
+     0),
+    ('sweep --case ospD-vs-soEven --k-max 3 --p-max 1 --free-count 1 --order 4',
+     'ospD-vs-soEven k=2 p=0 n=1: match\nospD-vs-soEven k=2 p=1 n=1: match\nospD-vs-soEven k=3 p=0 n=1: match\nospD-vs-soEven k=3 p=1 n=1: match\nchecked 4 combinations at order 4: 0 mismatch(es)\n',
+     0),
+    ('sweep --case d21-vs-so2 --p-max 2 --order 3 --format json',
+     '{"order": 3, "checked": 2, "mismatches": 0, "results": [{"case": "d21-vs-so2", "params": {"p": 1}, "verdict": "match", "first_divergence": null}, {"case": "d21-vs-so2", "params": {"p": 2}, "verdict": "match", "first_divergence": null}]}\n',
+     0),
+    ('sweep --case ospB-vs-osp1 --k-max 1 --p-max 1 --free-count 1 --order 3 --format csv',
+     'case,params,order,verdict,first_divergence\nospB-vs-osp1,k=1 p=0 m=1,3,match,\nospB-vs-osp1,k=1 p=1 m=1,3,match,\n',
+     0),
+    ('selftest --seed 3',
+     'ok   partition-conjugate\nok   frobenius-coordinates\nok   hook-lengths\nok   constrained-enumerators\nok   gl-dimensions\nok   gl-superdimensions\nok   closed-form-numerators\nok   osp1-series\nok   ospB-series\nok   ospD-series\nok   sp-series\nok   spinor-series\nok   d21-series\nok   correspondences\nok   product-expansion-1-1 (seed=3)\nok   product-expansion-2-1 (seed=3)\n16/16 checks passed\n',
+     0),
+    ('selftest --format json',
+     '{"seed": 0, "passed": 16, "failed": 0, "results": [{"name": "partition-conjugate", "ok": true, "detail": ""}, {"name": "frobenius-coordinates", "ok": true, "detail": ""}, {"name": "hook-lengths", "ok": true, "detail": ""}, {"name": "constrained-enumerators", "ok": true, "detail": ""}, {"name": "gl-dimensions", "ok": true, "detail": ""}, {"name": "gl-superdimensions", "ok": true, "detail": ""}, {"name": "closed-form-numerators", "ok": true, "detail": ""}, {"name": "osp1-series", "ok": true, "detail": ""}, {"name": "ospB-series", "ok": true, "detail": ""}, {"name": "ospD-series", "ok": true, "detail": ""}, {"name": "sp-series", "ok": true, "detail": ""}, {"name": "spinor-series", "ok": true, "detail": ""}, {"name": "d21-series", "ok": true, "detail": ""}, {"name": "correspondences", "ok": true, "detail": ""}, {"name": "product-expansion-1-1", "ok": true, "detail": "seed=0"}, {"name": "product-expansion-2-1", "ok": true, "detail": "seed=0"}]}\n',
+     0),
+    ('selftest --format csv',
+     'name,status,detail\npartition-conjugate,ok,\nfrobenius-coordinates,ok,\nhook-lengths,ok,\nconstrained-enumerators,ok,\ngl-dimensions,ok,\ngl-superdimensions,ok,\nclosed-form-numerators,ok,\nosp1-series,ok,\nospB-series,ok,\nospD-series,ok,\nsp-series,ok,\nspinor-series,ok,\nd21-series,ok,\ncorrespondences,ok,\nproduct-expansion-1-1,ok,seed=0\nproduct-expansion-2-1,ok,seed=0\n',
+     0),
+    ('verify --case ospB-vs-soOdd --p 1',
+     '',
+     2),
+    ('series --family soEven --k 1 --p 1 --format json',
+     '',
+     2),
+]
+
+
+@pytest.mark.parametrize("argv, stdout, exit_code", CONTRACT, ids=[row[0] for row in CONTRACT])
+def test_output_contract(argv, stdout, exit_code):
+    result = run(*argv.split(), env={"OSPDIM_ORDER": None})
+    assert result.stdout_bytes.decode() == stdout  # .stdout would hide a \r\n
+    assert result.exit_code == exit_code
 
 
 class TestDim:
@@ -41,7 +125,23 @@ class TestDim:
         result = run("dim", "--family", "gl", "--n", "3", "--lambda", "2,1", "--format", "csv")
         lines = result.output.strip().splitlines()
         assert lines[0] == "family,n,lambda,value,agreement"
-        assert lines[1] == "gl,3,(2,1),8,true"
+        assert lines[1] == 'gl,3,"(2,1)",8,true'
+
+    def test_csv_rows_have_as_many_fields_as_the_header(self):
+        for args in (["gl", "--n", "3"], ["glsuper", "--m", "1", "--n", "3"]):
+            result = run("dim", "--family", *args, "--lambda", "2,1", "--format", "csv")
+            header, row = csv.reader(io.StringIO(result.output))
+            assert len(row) == len(header)
+            assert row[header.index("lambda")] == "(2,1)"
+
+    def test_formula_disagreement_exits_one(self, monkeypatch):
+        monkeypatch.setattr(cli_mod, "dim_gl_hook", lambda n, lam: 0)
+        result = run("dim", "--family", "gl", "--n", "3", "--lambda", "2,1")
+        assert result.exit_code == 1
+        assert result.output == "8\nweyl=hook=frobenius: false\n"
+        result = run("dim", "--family", "gl", "--n", "3", "--lambda", "2,1", "--format", "json")
+        assert result.exit_code == 1
+        assert json.loads(result.output)["agreement"] is False
 
     def test_empty_partition_default(self):
         result = run("dim", "--family", "gl", "--n", "4")

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -37,6 +38,11 @@ class TestPartitionBasics:
             Partition([1, 2])
         with pytest.raises(ValueError):
             Partition([2, -1])
+
+    @pytest.mark.parametrize("parts", [[2.5, 1], [2.0, 1], ["3", 1], [3, True], [Fraction(2), 1]])
+    def test_rejects_a_part_that_is_not_an_int(self, parts):
+        with pytest.raises(ValueError, match="parts must be integers"):
+            Partition(parts)
 
     def test_zero_padded_indexing(self):
         lam = Partition([5, 4, 4, 2])
@@ -134,6 +140,11 @@ class TestFrobenius:
             FrobeniusForm([3], [])  # length mismatch
         with pytest.raises(ValueError):
             FrobeniusForm([-1], [0])
+
+    @pytest.mark.parametrize("arms, legs", [([1.5], [0]), ([1], ["0"]), ([True], [0]), ([1.0], [0])])
+    def test_rejects_a_coordinate_that_is_not_an_int(self, arms, legs):
+        with pytest.raises(ValueError, match="coordinates must be integers"):
+            FrobeniusForm(arms, legs)
 
 
 class TestHookLengths:
