@@ -10,14 +10,16 @@ t -> -t apply substitute_neg_t explicitly at the comparison site, never
 inside a builder.
 
 Two tables name everything the package can build and check.  FAMILIES has
-one row per family: its parameters with their lower bounds, its algebra and
-Dynkin-label text, and the series builder of each of its routes.  CASES has
-one row per correspondence: its required parameters with their lower
-bounds, its free rank parameter, and for each of its two sides the spec and
-the route of that spec's FAMILIES row, taken at -t where the identity needs
-it, so each builder is called from one place.  IrrepSpec, verify_correspondence
-and the command line read these tables, so a new family or case is one new
-row, and every route a verdict names is one `ospdim series --route` takes.
+one row per family: the rule of each parameter, its algebra and Dynkin-label
+text, and the series builder of each of its routes.  CASES has one row per
+correspondence: its required parameters with their lower bounds, its free
+rank parameter, and for each of its two sides the spec and the route of that
+spec's FAMILIES row, taken at -t where the identity needs it, so each
+builder is called from one place.  IrrepSpec, verify_correspondence and the
+command line read these tables, so a new family or case is one new row, and
+every route a verdict names is one `ospdim series --route` takes.  One
+checker, `_check_params`, reads the rules of both: every family builder,
+IrrepSpec and verify_correspondence check their parameters against their row.
 """
 
 from __future__ import annotations
@@ -90,10 +92,7 @@ def osp1_dim_t(
     (1-t)^n (1-t^2)^(n(n-1)/2).  The two routes agree identically and are
     kept separate on purpose.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if p < 0:
-        raise ValueError("p must be non-negative")
+    _check_family("osp1", n=n, p=p)
     if route == "sum":
         return _branching_sum(order, n, 0, partition_tuples(order, None, min(n, p)))
     if route == "closed":
@@ -112,8 +111,7 @@ def ospB_sdim_t(m: int, n: int, p: int, order: int = DEFAULT_ORDER) -> Truncated
     superdimension; the enumeration bounds below are exactly the shapes on
     which that superdimension can be non-zero.
     """
-    if m < 0 or n < 0 or p < 0:
-        raise ValueError("m, n and p must be non-negative")
+    _check_family("ospB", m=m, n=n, p=p)
     bounds = (p, m - n) if m >= n else (min(p, n - m), None)
     return _branching_sum(order, m, n, partition_tuples(order, *bounds))
 
@@ -122,10 +120,7 @@ def so_odd_dim_t(k: int, p: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """Dimension series of the so(2k+1) irrep [0,...,0,p] graded by gl(k)
     level: a polynomial of degree k*p summing gl(k) dimensions over
     partitions inside the k x p rectangle."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if p < 0:
-        raise ValueError("p must be non-negative")
+    _check_family("soOdd", k=k, p=p)
     return _branching_sum(order, k, 0, partition_tuples(order, p, k))
 
 
@@ -133,8 +128,7 @@ def ospD_sdim_t(m: int, n: int, p: int, order: int = DEFAULT_ORDER) -> Truncated
     """Superdimension series of the osp(2m|2n) irrep [0,...,0,p], graded by
     gl(m|n) level at +t: like the odd case but restricted to partitions in
     which every part value occurs an even number of times."""
-    if m < 0 or n < 0 or p < 0:
-        raise ValueError("m, n and p must be non-negative")
+    _check_family("ospD", m=m, n=n, p=p)
     bounds = (p, m - n) if m >= n else (min(p, n - m), None)
     return _branching_sum(order, m, n, doubled_tuples(order, *bounds))
 
@@ -152,12 +146,7 @@ def so_even_dim_t(
     an extra first row.  Prepended shapes are graded by |lambda| alone, so
     the constant term of that branch is the dimension of the single row (p).
     """
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    if p < 0:
-        raise ValueError("p must be non-negative")
-    if chirality not in ("last", "next_to_last"):
-        raise ValueError(f"unknown chirality {chirality!r}")
+    _check_family("soEven", k=k, p=p, chirality=chirality)
     # at most k rows, or k - 1 under the head row; doubling rounds both down
     if (chirality == "last") == (k % 2 == 0):
         return _branching_sum(order, k, 0, doubled_tuples(order, p, k))
@@ -170,18 +159,14 @@ def sp_dim_t(k: int, p: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     graded by gl(k) level at +t: gl(k) dimensions summed over partitions
     with even parts and at most min(p, k) rows.  Only even powers of t
     occur."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if p < 0:
-        raise ValueError("p must be non-negative")
+    _check_family("sp", k=k, p=p)
     return _branching_sum(order, k, 0, evened_tuples(order, min(p, k)))
 
 
 def spinor_tdim(m: int, n: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """t-dimension 2^m/(1-t)^n of the spinor representation of osp(2m|2n),
     graded by polynomial degree in the n bosonic generators."""
-    if m < 0 or n < 0:
-        raise ValueError("m and n must be non-negative")
+    _check_family("spinor", m=m, n=n)
     num = TruncatedSeries([2**m], order)
     return num / polynomial([1, -1], order) ** n
 
@@ -189,8 +174,7 @@ def spinor_tdim(m: int, n: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
 def spinor_sdim(m: int, n: int) -> Fraction:
     """Superdimension 2^(m-n) of the osp(2m|2n) spinor; a non-integer
     rational when n > m."""
-    if m < 0 or n < 0:
-        raise ValueError("m and n must be non-negative")
+    _check_family("spinor", m=m, n=n)
     return Fraction(2) ** (m - n)
 
 
@@ -210,8 +194,7 @@ def d21_sdim_t(p: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     the level of its negative discrete series branches, independent of
     alpha.  Level j collects every branch whose offset matches j in parity,
     with sign (-1)^j; the closed form is (1-p) + 2p/(1+t)."""
-    if p < 1:
-        raise ValueError("p must be at least 1")
+    _check_family("d21", p=p)
     branches = _d21_branches(p)
     coeffs = []
     for j in range(order + 1):
@@ -223,8 +206,7 @@ def d21_sdim_t(p: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
 def d21_sdim_closed(p: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """Closed form (1-p) + 2p/(1+t) of the same series; its value at t=1
     is 1 for every p, matching the dimension of the so(2) irrep [p]."""
-    if p < 1:
-        raise ValueError("p must be at least 1")
+    _check_family("d21", p=p)
     return polynomial([1 - p], order) + polynomial([2 * p], order) / polynomial(
         [1, 1], order
     )
@@ -245,8 +227,8 @@ def _dynkin(rank: int, *tail) -> str:
 
 class Family(NamedTuple):
     """One row of the family table.  params maps each parameter, in the
-    order a missing one is reported, to its lower bound, its allowed values
-    or None (any partition); routes maps each route name to its series
+    order a missing one is reported, to its rule for `_check_params`: an
+    int lower bound, a tuple of allowed values or None (any partition); routes maps each route name to its series
     builder, the first route being the default, and is empty for a family
     without a series."""
 
@@ -254,6 +236,41 @@ class Family(NamedTuple):
     algebra: Callable[[IrrepSpec], str]
     label: Callable[[IrrepSpec], str]
     routes: dict[str, Callable[[IrrepSpec, int], TruncatedSeries]]
+
+
+def _check_params(kind: str, owner: str, rules: dict, values: dict) -> None:
+    """Refuse with a ValueError naming the owner, of kind "family" or
+    "case", a value for a name without a rule, a missing value (None) and
+    one that breaks its rule in the Family.params format: an int is a lower
+    bound on an int, which a bool is not; a tuple lists the allowed values;
+    None asks for a partition.  Nothing is formatted unless one is refused."""
+    for name, value in values.items():
+        if value is not None and name not in rules:
+            raise ValueError(f"{kind} {owner!r} takes no parameter {name}")
+    for name, rule in rules.items():
+        value = values.get(name)
+        if rule is None:
+            try:
+                ok = tuple(value) == Partition(value).parts
+            except (TypeError, ValueError):
+                ok = False
+        elif isinstance(rule, tuple):
+            ok = value in rule
+        else:
+            ok = type(value) is int and value >= rule
+        if not ok:
+            if rule is None:
+                need = "a partition"
+            elif isinstance(rule, tuple):
+                need = " or ".join(rule)
+            else:
+                need = f">= {rule}" if value is None or type(value) is int else f"an int >= {rule}"
+            got = "" if value is None else f", got {value}"
+            raise ValueError(f"{kind} {owner!r} needs {name} {need}{got}")
+
+
+def _check_family(family: str, **values) -> None:
+    _check_params("family", family, FAMILIES[family].params, values)
 
 
 # the so(2k) chiralities; osp(2m|2n) with m - n = k matches the one at k % 2
@@ -306,9 +323,8 @@ FAMILIES: dict[str, Family] = {
 
 @dataclass(frozen=True)
 class IrrepSpec:
-    """A representation named the way the CLI and reports name it.  Each
-    parameter is checked against the rule of its family's table row, and a
-    parameter the family does not take is refused."""
+    """A representation named the way the CLI and reports name it, its
+    parameters checked by `_check_params` against its family's table row."""
 
     family: str
     m: int | None = None
@@ -321,20 +337,8 @@ class IrrepSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        params = FAMILIES[self.family].params
-        for name, rule in params.items():
-            value = getattr(self, name)
-            if value is None:
-                raise ValueError(f"family {self.family!r} needs parameter {name}")
-            if isinstance(rule, tuple) and value not in rule:
-                raise ValueError(f"family {self.family!r} needs {name} {' or '.join(rule)}")
-            if isinstance(rule, int) and value < rule:
-                raise ValueError(f"family {self.family!r} needs {name} >= {rule}, got {value}")
-            if rule is None and tuple(value) != Partition(value).parts:
-                raise ValueError(f"family {self.family!r} needs {name} a partition, got {value}")
-        for name in ("m", "n", "k", "p", "chirality", "lam"):
-            if name not in params and getattr(self, name) is not None:
-                raise ValueError(f"family {self.family!r} takes no parameter {name}")
+        _check_params("family", self.family, FAMILIES[self.family].params,
+                      {name: getattr(self, name) for name in ("m", "n", "k", "p", "chirality", "lam")})
 
     @property
     def algebra(self) -> str:
@@ -462,24 +466,20 @@ def verify_correspondence(
     them coefficient by coefficient through the given order.
 
     The free parameter (n for a wide odd algebra, m for a tall one) defaults
-    to 1; the identity asserts independence of it.  A missing or
-    out-of-range parameter, and one the case does not use, raise ValueError.
+    to 1 and must be >= 0; the identity asserts independence of it.  The
+    parameters are checked by `_check_params` against the case row's bounds,
+    so a missing one, one below its bound or not an int, and one the case
+    does not use raise ValueError.
     """
     if case not in CASES:
         raise ValueError(f"unknown case {case!r}; choose from {', '.join(CASES)}")
     row = CASES[case]
+    rules = {**row.bounds, row.free: 0} if row.free else row.bounds
     given = {"m": m, "n": n, "k": k, "p": p}
-    for name, value in given.items():
-        if value is not None and name not in (*row.bounds, row.free):
-            raise ValueError(f"case {case!r} takes no parameter {name}")
-    for name, low in row.bounds.items():
-        if given[name] is None or given[name] < low:
-            raise ValueError(f"case {case!r} needs {name} >= {low}")
-    params = {name: given[name] for name in row.bounds}
-    if row.free:
-        params[row.free] = 1 if given[row.free] is None else given[row.free]
-        if params[row.free] < 0:
-            raise ValueError(f"case {case!r} needs {row.free} >= 0")
+    if row.free and given[row.free] is None:
+        given[row.free] = 1
+    _check_params("case", case, rules, given)
+    params = {name: given[name] for name in rules}
     left, right = row.left.compute(params, order), row.right.compute(params, order)
     div = left.series.first_divergence(right.series)
     return CorrespondenceReport(case, left, right, div is None, div)

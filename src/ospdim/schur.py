@@ -51,8 +51,8 @@ def dim_gl_weyl(n: int, lam: Partition) -> int:
     """Dimension of the gl(n) irrep with highest weight lam, n >= 1, by the
     memoized Weyl product; a partition longer than n rows is not a gl(n)
     highest weight and gives 0."""
-    if n <= 0:
-        raise ValueError("n must be positive")
+    if type(n) is not int or n <= 0:
+        raise ValueError(f"n must be a positive int, got {n!r}")
     return weyl_product(n, lam.parts)
 
 
@@ -63,8 +63,8 @@ def dim_gl_hook(n: int, lam: Partition) -> int:
     A content factor vanishes as soon as the diagram has more than n rows,
     so overlong partitions give 0 without a special case.
     """
-    if n <= 0:
-        raise ValueError("n must be positive")
+    if type(n) is not int or n <= 0:
+        raise ValueError(f"n must be a positive int, got {n!r}")
     num = 1
     den = 1
     for i in range(1, len(lam) + 1):
@@ -85,8 +85,8 @@ def dim_gl_frobenius(n: int, form: FrobeniusForm) -> int:
 
     Any leg of length n or more means more than n rows, hence 0.
     """
-    if n <= 0:
-        raise ValueError("n must be positive")
+    if type(n) is not int or n <= 0:
+        raise ValueError(f"n must be a positive int, got {n!r}")
     arms, legs = form.arms, form.legs
     if any(b >= n for b in legs):
         return 0
@@ -116,8 +116,8 @@ def sdim_gl(m: int, n: int, lam: Partition) -> int:
     branches vanish outside the (m,n) fat hook, and for m = n every
     non-empty lam gives 0.
     """
-    if m < 0 or n < 0:
-        raise ValueError("m and n must be non-negative")
+    if type(m) is not int or type(n) is not int or m < 0 or n < 0:
+        raise ValueError(f"m and n must be non-negative ints, got {m!r} and {n!r}")
     if m >= n:
         return weyl_product(m - n, lam.parts)
     sign = -1 if lam.weight % 2 else 1

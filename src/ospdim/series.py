@@ -51,7 +51,10 @@ class TruncatedSeries:
         del cs[order + 1 :]
         den = 1
         if not all(type(c) is int for c in cs):
-            fs = [Fraction(c) for c in cs]
+            for c in cs:
+                if not isinstance(c, (int, Fraction)):
+                    raise ValueError(f"coefficients must be ints or Fractions, got {c!r}")
+            fs = [c if type(c) is Fraction else Fraction(c) for c in cs]
             den = lcm(*(f.denominator for f in fs))
             cs = [f.numerator * (den // f.denominator) for f in fs]
         cs.extend([0] * (order + 1 - len(cs)))
@@ -198,10 +201,6 @@ class TruncatedSeries:
             base = base * base
             e >>= 1
         return result
-
-    def pad(self, order: int) -> "TruncatedSeries":
-        """Same coefficients viewed at a different order (zero-padded or cut)."""
-        return TruncatedSeries(self.coeffs, order)
 
     # -- substitutions and evaluation --------------------------------------
 

@@ -121,6 +121,15 @@ class TestGlDimensions:
         with pytest.raises(ValueError):
             dim_gl_frobenius(-1, FrobeniusForm([0], [0]))
 
+    def test_rejects_a_rank_that_is_not_an_int(self):
+        # a float rank once gave a float dimension, or an AssertionError
+        for n in (2.0, 2.5, True):
+            for fn in (dim_gl_weyl, dim_gl_hook):
+                with pytest.raises(ValueError, match="positive int"):
+                    fn(n, Partition([1]))
+            with pytest.raises(ValueError, match="positive int"):
+                dim_gl_frobenius(n, FrobeniusForm([0], [0]))
+
     def test_rectangular_and_column(self):
         assert dim_gl_weyl(4, Partition([1, 1, 1, 1])) == 1  # determinant rep
         assert dim_gl_weyl(4, Partition([1, 1])) == 6  # wedge square
@@ -152,6 +161,11 @@ class TestSuperdimensions:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             sdim_gl(-1, 2, Partition())
+
+    def test_rejects_a_rank_that_is_not_an_int(self):
+        for m, n in [(True, 0), (0, False), (2.0, 1), (1, 1.5)]:
+            with pytest.raises(ValueError, match="non-negative ints"):
+                sdim_gl(m, n, Partition([1]))
 
 
 class TestLittlewoodRichardson:

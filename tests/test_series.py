@@ -36,6 +36,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             TruncatedSeries([1], -1)
 
+    def test_rejects_inexact_coefficients(self):
+        # a float would be read as its binary value, not the decimal written
+        for coeffs in ([0.1], [1, Fraction(1, 2), 0.5], ["1/2"]):
+            with pytest.raises(ValueError, match="ints or Fractions"):
+                polynomial(coeffs, 2)
+        assert polynomial([1, Fraction(1, 2)], 2).coeffs == (1, Fraction(1, 2), 0)
+
     def test_coefficient_accessor(self):
         s = TruncatedSeries([5, 6, 7])
         assert s.coefficient(1) == 6

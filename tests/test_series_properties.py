@@ -111,10 +111,12 @@ def test_division_inverts_multiplication(data):
 @given(series(), series(), scalars)
 def test_mixed_orders_truncate_to_smaller(a, b, c):
     n = min(a.order, b.order)
+    # the same coefficients cut to order n
+    a_n, b_n = TruncatedSeries(a.coeffs, n), TruncatedSeries(b.coeffs, n)
     for got, want in (
-        (a + b, a.pad(n) + b.pad(n)),
-        (a - b, a.pad(n) - b.pad(n)),
-        (a * b, a.pad(n) * b.pad(n)),
+        (a + b, a_n + b_n),
+        (a - b, a_n - b_n),
+        (a * b, a_n * b_n),
     ):
         assert got.order == n
         assert got.coeffs == want.coeffs

@@ -17,6 +17,7 @@ from ospdim.characters import (
     so_even_dim_t,
     so_odd_dim_t,
     sp_dim_t,
+    spinor_sdim,
     spinor_tdim,
     verify_correspondence,
 )
@@ -76,8 +77,8 @@ class TestIrrepSpecChecks:
                 IrrepSpec(family, **lowest(family), **{name: value})
 
     def test_lam_must_be_a_partition(self):
-        for lam in [(1, 2), (-1,)]:
-            with pytest.raises(ValueError):
+        for lam in [(1, 2), (-1,), (1.0,), 3]:
+            with pytest.raises(ValueError, match="family 'gl' needs lam a partition"):
                 IrrepSpec("gl", n=3, lam=lam)
         with pytest.raises(ValueError, match=r"needs lam a partition, got \(2, 1, 0\)"):
             IrrepSpec("gl", n=3, lam=(2, 1, 0))
@@ -261,3 +262,69 @@ class TestStrictParameters:
         assert result.exit_code == 2
         assert "case 'ospB-vs-soOdd' needs n >= 0" in result.output
         assert verify_correspondence("ospB-vs-soOdd", k=2, p=1, n=0, order=6).match
+
+
+# each route's builder called directly, its family's parameters passed by name
+BUILDERS = {
+    ("osp1", "sum"): lambda n, p: osp1_dim_t(n, p, 4, route="sum"),
+    ("osp1", "closed"): lambda n, p: osp1_dim_t(n, p, 4, route="closed"),
+    ("ospB", "branching"): lambda m, n, p: ospB_sdim_t(m, n, p, 4),
+    ("ospD", "branching"): lambda m, n, p: ospD_sdim_t(m, n, p, 4),
+    ("soOdd", "branching"): lambda k, p: so_odd_dim_t(k, p, 4),
+    ("soEven", "branching"): lambda k, p, chirality: so_even_dim_t(k, p, chirality, 4),
+    ("sp", "branching"): lambda k, p: sp_dim_t(k, p, 4),
+    ("d21", "branching"): lambda p: d21_sdim_t(p, 4),
+    ("d21", "closed"): lambda p: d21_sdim_closed(p, 4),
+    ("spinor", "closed"): lambda m, n: spinor_tdim(m, n, 4),
+}
+INT_RULES = [(f, name, low) for f, row in FAMILIES.items() if row.routes
+             for name, low in row.params.items() if type(low) is int]
+
+
+def case_rules(case: str) -> dict:
+    row = CASES[case]
+    return {**row.bounds, **({row.free: 0} if row.free else {})}
+
+
+def cases_feeding(family: str, name: str, low: int) -> list[str]:
+    """The cases with a side of the family and the same rule for name."""
+    return [c for c, row in CASES.items()
+            if family in (side.spec(**lowest_case(c)).family for side in (row.left, row.right))
+            and case_rules(c).get(name) == low]
+
+
+class TestOneCheckerForEveryEntryPoint:
+    def test_builders_cover_every_route(self):
+        assert list(BUILDERS) == [(f, r) for f, row in FAMILIES.items() for r in row.routes]
+
+    @pytest.mark.parametrize("family, name, low", INT_RULES,
+                             ids=[f"{f}-{name}" for f, name, _ in INT_RULES])
+    def test_builder_spec_and_case_refuse_alike(self, family, name, low):
+        builders = [b for (f, _), b in BUILDERS.items() if f == family]
+        cases = cases_feeding(family, name, low)
+        for bad in (low - 1, float(low), bool(low)):
+            values = {**lowest(family), name: bad}
+            for build in builders:
+                with pytest.raises(ValueError, match=f"family '{family}' needs {name}"):
+                    build(**values)
+            with pytest.raises(ValueError, match=f"family '{family}' needs {name}"):
+                IrrepSpec(family, **values)
+            for case in cases:
+                with pytest.raises(ValueError, match=f"case '{case}' needs {name}"):
+                    verify_correspondence(case, order=4, **{**lowest_case(case), name: bad})
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_every_case_rule_refuses_alike(self, case):
+        # osp1's n is fed by the case's k, so not every rule has a family twin
+        for name, low in case_rules(case).items():
+            for bad in (low - 1, float(low), bool(low)):
+                with pytest.raises(ValueError, match=f"case '{case}' needs {name}"):
+                    verify_correspondence(case, order=4, **{**lowest_case(case), name: bad})
+
+    def test_spinor_sdim_checks_the_spinor_row(self):
+        # not a route builder; spinor_sdim(2.5, 0) once returned a float
+        for bad in (-1, 2.5, True):
+            with pytest.raises(ValueError, match="family 'spinor' needs m"):
+                spinor_sdim(bad, 0)
+        with pytest.raises(ValueError, match="needs m an int >= 0, got 2.5"):
+            spinor_sdim(2.5, 0)
