@@ -18,14 +18,15 @@ spec's FAMILIES row, taken at -t where the identity needs it, so each
 builder is called from one place.  IrrepSpec, verify_correspondence and the
 command line read these tables, so a new family or case is one new row, and
 every route a verdict names is one `ospdim series --route` takes.  One
-checker, `_check_params`, reads the rules of both: every family builder,
-IrrepSpec and verify_correspondence check their parameters against their row.
+checker, `_check_params`, checks every rank, label, route, order and count:
+builders, IrrepSpec and verify_correspondence against their row (plus order
+for a series), osp1_numerator and cummins_king_check against their own rules.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
@@ -71,8 +72,8 @@ def osp1_numerator(n: int, p: int, order: int = DEFAULT_ORDER) -> TruncatedSerie
     p >= n the polynomial is 1.  For p = 0 it factors as
     (1-t)^n (1-t^2)^(n(n-1)/2), and for p = 1 as (1-t^2)^(n(n-1)/2).
     """
-    if n < 0 or p < 0:
-        raise ValueError("n and p must be non-negative")
+    _check_params("function", "osp1_numerator", {"n": 0, "p": 0, "order": 0},
+                  {"n": n, "p": p, "order": order})
     coeffs = [0] * (order + 1)
     for form, sign in enum_offset_forms(n, p):
         exp = 2 * sum(form.arms) + (p + 1) * form.rank
@@ -92,15 +93,11 @@ def osp1_dim_t(
     (1-t)^n (1-t^2)^(n(n-1)/2).  The two routes agree identically and are
     kept separate on purpose.
     """
-    _check_family("osp1", n=n, p=p)
+    _check_family("osp1", n=n, p=p, order=order, route=route)
     if route == "sum":
         return _branching_sum(order, n, 0, partition_tuples(order, None, min(n, p)))
-    if route == "closed":
-        den = polynomial([1, -1], order) ** n * polynomial([1, 0, -1], order) ** (
-            n * (n - 1) // 2
-        )
-        return osp1_numerator(n, p, order) / den
-    raise ValueError(f"unknown route {route!r}")
+    den = polynomial([1, -1], order) ** n * polynomial([1, 0, -1], order) ** (n * (n - 1) // 2)
+    return osp1_numerator(n, p, order) / den
 
 
 def ospB_sdim_t(m: int, n: int, p: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
@@ -111,7 +108,7 @@ def ospB_sdim_t(m: int, n: int, p: int, order: int = DEFAULT_ORDER) -> Truncated
     superdimension; the enumeration bounds below are exactly the shapes on
     which that superdimension can be non-zero.
     """
-    _check_family("ospB", m=m, n=n, p=p)
+    _check_family("ospB", m=m, n=n, p=p, order=order)
     bounds = (p, m - n) if m >= n else (min(p, n - m), None)
     return _branching_sum(order, m, n, partition_tuples(order, *bounds))
 
@@ -120,7 +117,7 @@ def so_odd_dim_t(k: int, p: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """Dimension series of the so(2k+1) irrep [0,...,0,p] graded by gl(k)
     level: a polynomial of degree k*p summing gl(k) dimensions over
     partitions inside the k x p rectangle."""
-    _check_family("soOdd", k=k, p=p)
+    _check_family("soOdd", k=k, p=p, order=order)
     return _branching_sum(order, k, 0, partition_tuples(order, p, k))
 
 
@@ -128,7 +125,7 @@ def ospD_sdim_t(m: int, n: int, p: int, order: int = DEFAULT_ORDER) -> Truncated
     """Superdimension series of the osp(2m|2n) irrep [0,...,0,p], graded by
     gl(m|n) level at +t: like the odd case but restricted to partitions in
     which every part value occurs an even number of times."""
-    _check_family("ospD", m=m, n=n, p=p)
+    _check_family("ospD", m=m, n=n, p=p, order=order)
     bounds = (p, m - n) if m >= n else (min(p, n - m), None)
     return _branching_sum(order, m, n, doubled_tuples(order, *bounds))
 
@@ -146,7 +143,7 @@ def so_even_dim_t(
     an extra first row.  Prepended shapes are graded by |lambda| alone, so
     the constant term of that branch is the dimension of the single row (p).
     """
-    _check_family("soEven", k=k, p=p, chirality=chirality)
+    _check_family("soEven", k=k, p=p, chirality=chirality, order=order)
     # at most k rows, or k - 1 under the head row; doubling rounds both down
     if (chirality == "last") == (k % 2 == 0):
         return _branching_sum(order, k, 0, doubled_tuples(order, p, k))
@@ -159,14 +156,14 @@ def sp_dim_t(k: int, p: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     graded by gl(k) level at +t: gl(k) dimensions summed over partitions
     with even parts and at most min(p, k) rows.  Only even powers of t
     occur."""
-    _check_family("sp", k=k, p=p)
+    _check_family("sp", k=k, p=p, order=order)
     return _branching_sum(order, k, 0, evened_tuples(order, min(p, k)))
 
 
 def spinor_tdim(m: int, n: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """t-dimension 2^m/(1-t)^n of the spinor representation of osp(2m|2n),
     graded by polynomial degree in the n bosonic generators."""
-    _check_family("spinor", m=m, n=n)
+    _check_family("spinor", m=m, n=n, order=order)
     num = TruncatedSeries([2**m], order)
     return num / polynomial([1, -1], order) ** n
 
@@ -174,7 +171,7 @@ def spinor_tdim(m: int, n: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
 def spinor_sdim(m: int, n: int) -> Fraction:
     """Superdimension 2^(m-n) of the osp(2m|2n) spinor; a non-integer
     rational when n > m."""
-    _check_family("spinor", m=m, n=n)
+    _check_params("family", "spinor", FAMILIES["spinor"].params, {"m": m, "n": n})
     return Fraction(2) ** (m - n)
 
 
@@ -194,7 +191,7 @@ def d21_sdim_t(p: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     the level of its negative discrete series branches, independent of
     alpha.  Level j collects every branch whose offset matches j in parity,
     with sign (-1)^j; the closed form is (1-p) + 2p/(1+t)."""
-    _check_family("d21", p=p)
+    _check_family("d21", p=p, order=order)
     branches = _d21_branches(p)
     coeffs = []
     for j in range(order + 1):
@@ -206,7 +203,7 @@ def d21_sdim_t(p: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
 def d21_sdim_closed(p: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """Closed form (1-p) + 2p/(1+t) of the same series; its value at t=1
     is 1 for every p, matching the dimension of the so(2) irrep [p]."""
-    _check_family("d21", p=p)
+    _check_family("d21", p=p, order=order)
     return polynomial([1 - p], order) + polynomial([2 * p], order) / polynomial(
         [1, 1], order
     )
@@ -228,9 +225,9 @@ def _dynkin(rank: int, *tail) -> str:
 class Family(NamedTuple):
     """One row of the family table.  params maps each parameter, in the
     order a missing one is reported, to its rule for `_check_params`: an
-    int lower bound, a tuple of allowed values or None (any partition); routes maps each route name to its series
-    builder, the first route being the default, and is empty for a family
-    without a series."""
+    int lower bound, a tuple of allowed values or None (any partition).
+    routes maps each route name to its series builder, the first route
+    being the default, and is empty for a family without a series."""
 
     params: dict[str, int | tuple[str, ...] | None]
     algebra: Callable[[IrrepSpec], str]
@@ -239,8 +236,8 @@ class Family(NamedTuple):
 
 
 def _check_params(kind: str, owner: str, rules: dict, values: dict) -> None:
-    """Refuse with a ValueError naming the owner, of kind "family" or
-    "case", a value for a name without a rule, a missing value (None) and
+    """Refuse with a ValueError naming the owner, of kind "family", "case" or
+    "function", a value for a name without a rule, a missing value (None) and
     one that breaks its rule in the Family.params format: an int is a lower
     bound on an int, which a bool is not; a tuple lists the allowed values;
     None asks for a partition.  Nothing is formatted unless one is refused."""
@@ -270,7 +267,13 @@ def _check_params(kind: str, owner: str, rules: dict, values: dict) -> None:
 
 
 def _check_family(family: str, **values) -> None:
-    _check_params("family", family, FAMILIES[family].params, values)
+    """Check a series builder's arguments against its family's row plus
+    order, an int >= 0, and route, if given, one of the row's routes."""
+    row = FAMILIES[family]
+    rules = {**row.params, "order": 0}
+    if "route" in values:
+        rules["route"] = tuple(row.routes)
+    _check_params("family", family, rules, values)
 
 
 # the so(2k) chiralities; osp(2m|2n) with m - n = k matches the one at k % 2
@@ -338,7 +341,7 @@ class IrrepSpec:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         _check_params("family", self.family, FAMILIES[self.family].params,
-                      {name: getattr(self, name) for name in ("m", "n", "k", "p", "chirality", "lam")})
+                      {f.name: getattr(self, f.name) for f in fields(self) if f.name != "family"})
 
     @property
     def algebra(self) -> str:
@@ -454,32 +457,28 @@ CASES: dict[str, Case] = {
 
 
 def verify_correspondence(
-    case: str,
-    *,
-    k: int | None = None,
-    p: int | None = None,
-    n: int | None = None,
-    m: int | None = None,
-    order: int = DEFAULT_ORDER,
+    case: str, *, order: int = DEFAULT_ORDER, **params: int | None
 ) -> CorrespondenceReport:
     """Compute both sides of one superdimension correspondence and compare
     them coefficient by coefficient through the given order.
 
-    The free parameter (n for a wide odd algebra, m for a tall one) defaults
-    to 1 and must be >= 0; the identity asserts independence of it.  The
-    parameters are checked by `_check_params` against the case row's bounds,
+    The case row is the only list of its parameters; one passed as None
+    is not given.  The free parameter (n for a wide odd algebra, m for a
+    tall one) defaults to 1 and must be >= 0; the identity asserts
+    independence of it.  `_check_params` checks the parameters and order,
     so a missing one, one below its bound or not an int, and one the case
     does not use raise ValueError.
     """
     if case not in CASES:
         raise ValueError(f"unknown case {case!r}; choose from {', '.join(CASES)}")
     row = CASES[case]
-    rules = {**row.bounds, row.free: 0} if row.free else row.bounds
-    given = {"m": m, "n": n, "k": k, "p": p}
-    if row.free and given[row.free] is None:
-        given[row.free] = 1
-    _check_params("case", case, rules, given)
-    params = {name: given[name] for name in rules}
+    rules = dict(row.bounds)
+    if row.free:
+        rules[row.free] = 0
+        if params.get(row.free) is None:
+            params[row.free] = 1
+    _check_params("case", case, {**rules, "order": 0}, {**params, "order": order})
+    params = {name: params[name] for name in rules}
     left, right = row.left.compute(params, order), row.right.compute(params, order)
     div = left.series.first_divergence(right.series)
     return CorrespondenceReport(case, left, right, div is None, div)
@@ -534,14 +533,11 @@ def _ck_product_side(xs: Sequence[Fraction], ys: Sequence[Fraction], order: int)
     return num / den
 
 
-def _ck_schur_side(
-    xs: Sequence[Fraction], ys: Sequence[Fraction], order: int, max_weight: int | None = None
-) -> TruncatedSeries:
+def _ck_schur_side(xs: Sequence[Fraction], ys: Sequence[Fraction], order: int) -> TruncatedSeries:
     """Sum over even-multiplicity partitions beta of s_beta(x|y) u^|beta|;
     homogeneity places each term at the power equal to its weight."""
-    cap = order if max_weight is None else max_weight
     coeffs = [Fraction(0)] * (order + 1)
-    for beta in enum_B(cap):
+    for beta in enum_B(order):
         val = super_schur_eval(beta, xs, ys)
         if val:
             coeffs[beta.weight] += val
@@ -558,10 +554,8 @@ def cummins_king_check(
     coordinates; they must agree coefficient-for-coefficient through the
     order.  Deterministic for a fixed seed.
     """
-    if m < 0 or n < 0:
-        raise ValueError("m and n must be non-negative")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    _check_params("function", "cummins_king_check", {"m": 0, "n": 0, "order": 0, "trials": 1},
+                  {"m": m, "n": n, "order": order, "trials": trials})
     rng = random.Random(seed)
     for trial in range(trials):
         xs = [_random_nonzero_fraction(rng) for _ in range(m)]

@@ -14,7 +14,8 @@ interleave.  The even-multiplicity and even-part families are its doubled and
 evened images (`doubled_tuples`, `evened_tuples`).  Only the public `enum_*`
 functions promise weight-ascending order: they sort that stream stably by
 weight and wrap each tuple in a `Partition`.  Unbounded constraints are passed
-as None, never as a large magic integer; a negative bound raises ValueError.
+as None, never as a magic integer; a bound that is negative or not an int
+raises ValueError on the call, not on first use.
 """
 
 from __future__ import annotations
@@ -208,15 +209,22 @@ def conjugate_parts(parts: tuple[int, ...]) -> tuple[int, ...]:
 Stream = Iterator[tuple[tuple[int, ...], int]]
 
 
+def _check_bounds(**bounds: int | None) -> None:
+    """ValueError unless each bound is an int >= 0 or, for max_part and
+    max_len only, None."""
+    for name, bound in bounds.items():
+        unbounded = bound is None and name in ("max_part", "max_len")
+        if not unbounded and (type(bound) is not int or bound < 0):
+            raise ValueError(f"{name} must be an int >= 0, got {bound!r}")
+
+
 def partition_tuples(
     max_weight: int, max_part: int | None = None, max_len: int | None = None
 ) -> Stream:
     """All (parts, weight) with weight <= max_weight, parts[0] <= max_part
     and len(parts) <= max_len, in depth-first pre-order with larger next
-    parts first.  The bounds are checked on the call, not on first use."""
-    for name, bound in (("max_part", max_part), ("max_len", max_len), ("max_weight", max_weight)):
-        if bound is not None and bound < 0:
-            raise ValueError(f"{name} must be non-negative, got {bound}")
+    parts first."""
+    _check_bounds(max_part=max_part, max_len=max_len, max_weight=max_weight)
     part_cap = max_weight if max_part is None else max_part
     len_cap = max_weight if max_len is None else min(max_len, max_weight)
     return _preorder(max_weight, (part_cap,) * len_cap)
@@ -244,6 +252,7 @@ def doubled_tuples(
 ) -> Stream:
     """The even-multiplicity family: (c1, c1, c2, c2, ...) for every
     (c1, c2, ...) of half the weight and half the length bound."""
+    _check_bounds(max_part=max_part, max_len=max_len, max_weight=max_weight)
     half_len = None if max_len is None else max_len // 2
     stream = partition_tuples(max_weight // 2, max_part, half_len)
     return ((tuple(chain.from_iterable(zip(mu, mu))), 2 * w) for mu, w in stream)
@@ -252,6 +261,7 @@ def doubled_tuples(
 def evened_tuples(max_weight: int, max_len: int | None = None) -> Stream:
     """The even-part family: (2 c1, 2 c2, ...) for every (c1, c2, ...) of
     half the weight."""
+    _check_bounds(max_len=max_len, max_weight=max_weight)
     stream = partition_tuples(max_weight // 2, None, max_len)
     return ((tuple(2 * c for c in mu), 2 * w) for mu, w in stream)
 
@@ -302,18 +312,14 @@ def enum_offset_forms(n: int, p: int) -> Iterator[tuple[FrobeniusForm, int]]:
     (empty form, +1).  The stream always has exactly 2**max(n - p, 0)
     members.
     """
-    if n < 0 or p < 0:
-        raise ValueError("both arguments must be non-negative")
+    _check_bounds(n=n, p=p)
     top = max(n - p, 0)
-    for r in range(top + 1):
-        for arms in combinations(range(top - 1, -1, -1), r):
-            sign = -1 if (sum(arms) + r) % 2 else 1
-            yield FrobeniusForm(arms, tuple(a + p for a in arms)), sign
+    return ((FrobeniusForm(arms, tuple(a + p for a in arms)), -1 if (sum(arms) + r) % 2 else 1)
+            for r in range(top + 1) for arms in combinations(range(top - 1, -1, -1), r))
 
 
 def subpartitions(lam: Partition, max_len: int | None = None) -> Iterator[Partition]:
     """All partitions contained in the diagram of lam, optionally with at
     most max_len parts, each once and in no promised order."""
-    if max_len is not None and max_len < 0:
-        raise ValueError(f"max_len must be non-negative, got {max_len}")
+    _check_bounds(max_len=max_len)
     return (Partition(parts) for parts, _ in _preorder(lam.weight, lam.parts[:max_len]))

@@ -46,8 +46,8 @@ class TruncatedSeries:
         cs = list(coeffs)
         if order is None:
             order = max(len(cs) - 1, 0)
-        if order < 0:
-            raise ValueError("order must be non-negative")
+        if type(order) is not int or order < 0:
+            raise ValueError(f"order must be an int >= 0, got {order!r}")
         del cs[order + 1 :]
         den = 1
         if not all(type(c) is int for c in cs):
@@ -72,12 +72,9 @@ class TruncatedSeries:
 
     @classmethod
     def monomial(cls, k: int, coeff: Scalar = 1, order: int = DEFAULT_ORDER) -> "TruncatedSeries":
-        if k < 0:
-            raise ValueError("exponent must be non-negative")
-        cs = [0] * (order + 1)
-        if k <= order:
-            cs[k] = coeff
-        return cls(cs, order)
+        if type(k) is not int or k < 0:
+            raise ValueError(f"exponent must be an int >= 0, got {k!r}")
+        return cls([0] * k + [coeff] if k <= order else (), order)
 
     @property
     def order(self) -> int:
@@ -190,6 +187,8 @@ class TruncatedSeries:
         return _make(quot, self._den * power)
 
     def __pow__(self, exponent: int) -> "TruncatedSeries":
+        if type(exponent) is not int:
+            raise ValueError(f"power must be an int, got {exponent!r}")
         if exponent < 0:
             raise ValueError("negative powers: divide one() by the series instead")
         result = TruncatedSeries.one(self.order)

@@ -301,10 +301,10 @@ class TestOffsetForms:
         assert got == [((), 1), ((0,), -1)]
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            list(enum_offset_forms(-1, 0))
-        with pytest.raises(ValueError):
-            list(enum_offset_forms(2, -3))
+        # raised on the call itself, before the stream is consumed
+        for n, p in [(-1, 0), (2, -3), (None, 0)]:
+            with pytest.raises(ValueError):
+                enum_offset_forms(n, p)
 
 
 class TestSubpartitions:
@@ -365,6 +365,31 @@ class TestNegativeBounds:
             # raised on the call itself, before the stream is consumed
             with pytest.raises(ValueError):
                 call()
+
+    def test_every_enumerator_rejects_a_bound_that_is_not_an_int(self):
+        calls = [
+            lambda bad: partition_tuples(bad),
+            lambda bad: partition_tuples(3, bad),
+            lambda bad: partition_tuples(3, None, bad),
+            lambda bad: doubled_tuples(bad),
+            lambda bad: doubled_tuples(4, bad),
+            lambda bad: doubled_tuples(4, None, bad),
+            lambda bad: evened_tuples(bad),
+            lambda bad: evened_tuples(4, bad),
+            lambda bad: enum_partitions(bad),
+            lambda bad: enum_B(4, None, bad),
+            lambda bad: enum_D(bad),
+            lambda bad: enum_rectangle(bad, 2),
+            lambda bad: enum_rectangle(2, bad),
+            lambda bad: subpartitions(Partition([2, 1]), bad),
+            lambda bad: enum_offset_forms(bad, 0),
+            lambda bad: enum_offset_forms(2, bad),
+        ]
+        for call in calls:
+            for bad in (1.5, True, "2"):
+                # raised on the call itself, before the stream is consumed
+                with pytest.raises(ValueError, match=f"must be an int >= 0, got {bad!r}"):
+                    call(bad)
 
     def test_zero_bounds_still_give_the_empty_partition(self):
         assert list(enum_partitions(3, 0)) == [Partition()]

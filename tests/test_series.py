@@ -29,12 +29,14 @@ class TestConstruction:
         assert m.coeffs == (0, 0, 0, 7, 0, 0)
         beyond = TruncatedSeries.monomial(9, 1, 4)
         assert beyond == TruncatedSeries.zero(4)
-        with pytest.raises(ValueError):
-            TruncatedSeries.monomial(-1)
+        for bad in (-1, 2.5, True):
+            with pytest.raises(ValueError, match=f"exponent must be an int >= 0, got {bad}"):
+                TruncatedSeries.monomial(bad, 1, 4)
 
     def test_rejects_negative_order(self):
-        with pytest.raises(ValueError):
-            TruncatedSeries([1], -1)
+        for bad in (-1, 2.5, True):
+            with pytest.raises(ValueError, match=f"order must be an int >= 0, got {bad}"):
+                TruncatedSeries([1], bad)
 
     def test_rejects_inexact_coefficients(self):
         # a float would be read as its binary value, not the decimal written
@@ -113,6 +115,9 @@ class TestArithmetic:
         assert polynomial([1, 7], 4) ** 0 == TruncatedSeries.one(4)
         with pytest.raises(ValueError):
             polynomial([1, 1], 4) ** -1
+        for bad in (2.5, True):
+            with pytest.raises(ValueError, match=f"power must be an int, got {bad}"):
+                polynomial([1, 1], 4) ** bad
 
     def test_ring_axioms_random(self):
         rng = random.Random(20260819)

@@ -9,9 +9,11 @@ from ospdim.characters import (
     CASES,
     FAMILIES,
     IrrepSpec,
+    cummins_king_check,
     d21_sdim_closed,
     d21_sdim_t,
     osp1_dim_t,
+    osp1_numerator,
     ospB_sdim_t,
     ospD_sdim_t,
     so_even_dim_t,
@@ -316,10 +318,10 @@ class TestOneCheckerForEveryEntryPoint:
     @pytest.mark.parametrize("case", list(CASES))
     def test_every_case_rule_refuses_alike(self, case):
         # osp1's n is fed by the case's k, so not every rule has a family twin
-        for name, low in case_rules(case).items():
+        for name, low in {**case_rules(case), "order": 0}.items():
             for bad in (low - 1, float(low), bool(low)):
                 with pytest.raises(ValueError, match=f"case '{case}' needs {name}"):
-                    verify_correspondence(case, order=4, **{**lowest_case(case), name: bad})
+                    verify_correspondence(case, **{"order": 4, **lowest_case(case), name: bad})
 
     def test_spinor_sdim_checks_the_spinor_row(self):
         # not a route builder; spinor_sdim(2.5, 0) once returned a float
@@ -328,3 +330,36 @@ class TestOneCheckerForEveryEntryPoint:
                 spinor_sdim(bad, 0)
         with pytest.raises(ValueError, match="needs m an int >= 0, got 2.5"):
             spinor_sdim(2.5, 0)
+
+    @pytest.mark.parametrize("family, route, build", [(f, r, b) for f, r, _, b in SERIES],
+                             ids=[f"{f}-{r}" for f, r, _, _ in SERIES])
+    def test_every_route_builder_checks_order(self, family, route, build):
+        for bad in (-1, 2.5, True):
+            with pytest.raises(ValueError, match=f"family '{family}' needs order"):
+                build(bad)
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_every_case_refuses_a_parameter_its_row_lacks(self, case):
+        with pytest.raises(ValueError, match=f"case '{case}' takes no parameter q"):
+            verify_correspondence(case, order=4, q=1, **lowest_case(case))
+
+    @pytest.mark.parametrize("name", ["n", "p", "order"])
+    def test_osp1_numerator_checks_each_argument(self, name):
+        args = {"n": 2, "p": 1, "order": 4}
+        osp1_numerator(**args)
+        for bad in (-1, 2.5, True):
+            with pytest.raises(ValueError, match=f"function 'osp1_numerator' needs {name}"):
+                osp1_numerator(**{**args, name: bad})
+
+    @pytest.mark.parametrize("name", ["m", "n", "order", "trials"])
+    def test_cummins_king_check_checks_each_argument(self, name):
+        args = {"m": 1, "n": 1, "order": 2, "trials": 1}
+        assert cummins_king_check(**args).match
+        for bad in (-1, 2.5, True):
+            with pytest.raises(ValueError, match=f"function 'cummins_king_check' needs {name}"):
+                cummins_king_check(**{**args, name: bad})
+
+    def test_osp1_route_is_a_rule_of_the_row(self):
+        for bad in ("x", None, "branching"):
+            with pytest.raises(ValueError, match="family 'osp1' needs route sum or closed"):
+                osp1_dim_t(2, 1, 4, route=bad)
