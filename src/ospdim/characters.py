@@ -28,6 +28,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from math import inf
 from typing import Callable, NamedTuple, Sequence
 
 # enum_D and enum_partitions stay importable here for bench/layertrace.py
@@ -238,9 +239,10 @@ class Family(NamedTuple):
 def _check_params(kind: str, owner: str, rules: dict, values: dict) -> None:
     """Refuse with a ValueError naming the owner, of kind "family", "case" or
     "function", a value for a name without a rule, a missing value (None) and
-    one that breaks its rule in the Family.params format: an int is a lower
-    bound on an int, which a bool is not; a tuple lists the allowed values;
-    None asks for a partition.  Nothing is formatted unless one is refused."""
+    one that breaks its rule in the Family.params format: a number is a lower
+    bound on an int, which a bool is not, so -inf takes any int; a tuple lists
+    the allowed values; None asks for a partition.  Nothing is formatted
+    unless one is refused."""
     for name, value in values.items():
         if value is not None and name not in rules:
             raise ValueError(f"{kind} {owner!r} takes no parameter {name}")
@@ -554,8 +556,9 @@ def cummins_king_check(
     coordinates; they must agree coefficient-for-coefficient through the
     order.  Deterministic for a fixed seed.
     """
-    _check_params("function", "cummins_king_check", {"m": 0, "n": 0, "order": 0, "trials": 1},
-                  {"m": m, "n": n, "order": order, "trials": trials})
+    _check_params("function", "cummins_king_check",
+                  {"m": 0, "n": 0, "order": 0, "trials": 1, "seed": -inf},
+                  {"m": m, "n": n, "order": order, "trials": trials, "seed": seed})
     rng = random.Random(seed)
     for trial in range(trials):
         xs = [_random_nonzero_fraction(rng) for _ in range(m)]

@@ -209,11 +209,13 @@ def conjugate_parts(parts: tuple[int, ...]) -> tuple[int, ...]:
 Stream = Iterator[tuple[tuple[int, ...], int]]
 
 
-def _check_bounds(**bounds: int | None) -> None:
-    """ValueError unless each bound is an int >= 0 or, for max_part and
-    max_len only, None."""
+def _check_bounds(
+    nullable: tuple[str, ...] = ("max_part", "max_len"), /, **bounds: int | None
+) -> None:
+    """ValueError unless each bound is an int >= 0 or, for a name in
+    nullable, None."""
     for name, bound in bounds.items():
-        unbounded = bound is None and name in ("max_part", "max_len")
+        unbounded = bound is None and name in nullable
         if not unbounded and (type(bound) is not int or bound < 0):
             raise ValueError(f"{name} must be an int >= 0, got {bound!r}")
 
@@ -283,8 +285,10 @@ def enum_rectangle(max_part: int, max_len: int) -> Iterator[Partition]:
     """All partitions fitting in a max_len x max_part rectangle.
 
     The stream is finite with exactly binomial(max_part + max_len, max_len)
-    members.  A negative side raises ValueError, as a negative bound does.
+    members.  A side that is not an int >= 0, None included, raises
+    ValueError, as a refused bound does.
     """
+    _check_bounds((), max_part=max_part, max_len=max_len)
     return enum_partitions(max_part * max_len, max_part, max_len)
 
 

@@ -52,7 +52,7 @@ class TruncatedSeries:
         den = 1
         if not all(type(c) is int for c in cs):
             for c in cs:
-                if not isinstance(c, (int, Fraction)):
+                if type(c) is bool or not isinstance(c, (int, Fraction)):
                     raise ValueError(f"coefficients must be ints or Fractions, got {c!r}")
             fs = [c if type(c) is Fraction else Fraction(c) for c in cs]
             den = lcm(*(f.denominator for f in fs))
@@ -232,45 +232,32 @@ class TruncatedSeries:
     def first_divergence(self, other: "TruncatedSeries") -> int | None:
         """Smallest power at which the two series differ, None if they agree
         through the common order."""
-        n = min(self.order, other.order) + 1
-        a, b = self._nums[:n], other._nums[:n]
-        da, db = self._den, other._den
-        if da == db:
-            if a == b:
-                return None
-            pairs = zip(a, b)
-        else:
-            pairs = ((x * db, y * da) for x, y in zip(a, b))
-        for k, (x, y) in enumerate(pairs):
-            if x != y:
-                return k
+        a, b, _ = self._aligned(other)
+        if a != b:
+            for k, (x, y) in enumerate(zip(a, b)):
+                if x != y:
+                    return k
         return None
 
     def __repr__(self) -> str:
         return f"TruncatedSeries({[str(c) for c in self.coeffs]}, order={self.order})"
 
     def __str__(self) -> str:
-        terms = []
+        out = []
         for k, c in enumerate(self.coeffs):
             if c == 0:
                 continue
+            if out:
+                out.append(" - " if c < 0 else " + ")
+            elif c < 0:
+                out.append("-")
+            c = abs(c)
             if k == 0:
-                body = str(c)
+                out.append(str(c))
             else:
                 mono = "t" if k == 1 else f"t^{k}"
-                if c == 1:
-                    body = mono
-                elif c == -1:
-                    body = "-" + mono
-                else:
-                    body = f"{c}{mono}"
-            terms.append(body)
-        if not terms:
-            return "0"
-        out = terms[0]
-        for term in terms[1:]:
-            out += " - " + term[1:] if term.startswith("-") else " + " + term
-        return out
+                out.append(mono if c == 1 else f"{c}{mono}")
+        return "".join(out) or "0"
 
     # -- serialization ------------------------------------------------------
 
@@ -279,15 +266,17 @@ class TruncatedSeries:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "TruncatedSeries":
-        order = int(data["order"])
-        coeffs = [Fraction(s) for s in data["coeffs"]]
-        if order < 0:
-            raise ValueError("order must be non-negative")
-        if len(coeffs) != order + 1:
+        """The series of a to_json_dict payload.  String coefficients are
+        parsed as Fractions; the order and every other coefficient go to the
+        constructor as they are, which refuses what it does not take."""
+        coeffs = [Fraction(c) if type(c) is str else c for c in data["coeffs"]]
+        series = cls(coeffs, data["order"])
+        if len(coeffs) != series.order + 1:
             raise ValueError(
-                f"an order-{order} series needs {order + 1} coefficients, got {len(coeffs)}"
+                f"an order-{series.order} series needs {series.order + 1} coefficients, "
+                f"got {len(coeffs)}"
             )
-        return cls(coeffs, order)
+        return series
 
 
 def polynomial(coeffs: Sequence[Scalar], order: int = DEFAULT_ORDER) -> TruncatedSeries:

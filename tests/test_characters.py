@@ -476,6 +476,13 @@ class TestCumminsKing:
             with pytest.raises(ValueError):
                 cummins_king_check(1, 1, 4, trials=trials)
 
+    def test_rejects_a_seed_that_is_not_an_int(self):
+        for seed in (True, 1.5, None, "1"):
+            with pytest.raises(ValueError, match="'cummins_king_check' needs seed"):
+                cummins_king_check(1, 1, order=2, trials=1, seed=seed)
+        # every int seeds the points, negatives included
+        assert cummins_king_check(1, 1, order=2, trials=1, seed=-3).match
+
 
 class TestIrrepSpec:
     def test_algebra_names(self):

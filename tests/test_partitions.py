@@ -220,6 +220,13 @@ class TestEnumerators:
         with pytest.raises(ValueError):
             list(enum_rectangle(-1, 2))
 
+    def test_rectangle_rejects_a_missing_side(self):
+        # a rectangle has two finite sides, so None bounds neither
+        with pytest.raises(ValueError, match="max_part must be an int >= 0, got None"):
+            enum_rectangle(None, 2)
+        with pytest.raises(ValueError, match="max_len must be an int >= 0, got None"):
+            enum_rectangle(2, None)
+
     def test_stream_order(self):
         assert is_weight_then_revlex(list(enum_partitions(9)))
         assert is_weight_then_revlex(list(enum_rectangle(4, 4)))

@@ -13,10 +13,41 @@ def random_series(rng, order):
     )
 
 
+def reference_str(coeffs):
+    """The rendering of a coefficient list as the series class first wrote
+    it: each term carries its own sign, which the join turns into " - "."""
+    terms = []
+    for k, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        if k == 0:
+            body = str(c)
+        else:
+            mono = "t" if k == 1 else f"t^{k}"
+            if c == 1:
+                body = mono
+            elif c == -1:
+                body = "-" + mono
+            else:
+                body = f"{c}{mono}"
+        terms.append(body)
+    if not terms:
+        return "0"
+    out = terms[0]
+    for term in terms[1:]:
+        out += " - " + term[1:] if term.startswith("-") else " + " + term
+    return out
+
+
 class TestConstruction:
     def test_default_order(self):
         assert TruncatedSeries([1, 2, 3]).order == 2
         assert TruncatedSeries.zero().order == DEFAULT_ORDER
+
+    def test_rejects_a_bool_coefficient(self):
+        for cs in ([True, 2], [1, False], [Fraction(1, 2), True]):
+            with pytest.raises(ValueError, match="coefficients must be ints or Fractions"):
+                TruncatedSeries(cs, 1)
 
     def test_padding_and_truncation(self):
         s = TruncatedSeries([1, 2], 4)
@@ -181,6 +212,31 @@ class TestComparison:
         short = polynomial([1, 2], 1)
         assert a.first_divergence(short) is None  # common window agrees
 
+    def test_first_divergence_matches_a_fraction_oracle(self):
+        rng = random.Random(2016)
+        diverged = agreed = 0
+        for _ in range(400):
+            a = random_series(rng, rng.randint(0, 10))
+            order = rng.randint(0, 10)
+            # b copies a's common window, then a tail of its own, so the two
+            # often agree while their denominators differ
+            cs = list(a.coeffs[: order + 1]) + [
+                Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(order + 1)
+            ]
+            if rng.random() < 0.5:
+                k = rng.randrange(min(a.order, order) + 1)
+                cs[k] += Fraction(1, rng.randint(1, 9))
+            b = TruncatedSeries(cs, order)
+            expected = next(
+                (k for k, (x, y) in enumerate(zip(a.coeffs, b.coeffs)) if x != y), None
+            )
+            assert a.first_divergence(b) == expected
+            assert b.first_divergence(a) == expected
+            assert (a == b) == (expected is None)
+            diverged += expected is not None
+            agreed += expected is None
+        assert diverged > 100 and agreed > 100
+
 
 class TestRendering:
     def test_golden_strings(self):
@@ -194,6 +250,30 @@ class TestRendering:
     def test_fractional_coefficients(self):
         s = TruncatedSeries([Fraction(1, 2), 0, Fraction(-9, 2)], 2)
         assert str(s) == "1/2 - 9/2t^2"
+
+    def test_matches_the_reference_renderer(self):
+        cases = [
+            [],
+            [0, 0, 0],
+            [1],
+            [-1],
+            [1, 1, -1, 0, 1, -1],
+            [-1, -1, 1],
+            [0, -1, 0, 1],
+            [0, 0, 0, -1],
+            [Fraction(-1, 2), Fraction(1, 3), Fraction(-5, 3), 0, Fraction(7, 2)],
+            [0, Fraction(-9, 2), -12, 12],
+        ]
+        rng = random.Random(7)
+        for _ in range(200):
+            cs = []
+            for _ in range(rng.randint(1, 8)):
+                rational = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                cs.append(rng.choice([0, 1, -1, rng.randint(-9, 9), rational]))
+            cases.append(cs)
+        for cs in cases:
+            s = TruncatedSeries(cs, max(len(cs) - 1, 0))
+            assert str(s) == reference_str(s.coeffs)
 
 
 class TestSerialization:
@@ -218,3 +298,14 @@ class TestSerialization:
         ):
             with pytest.raises(ValueError):
                 TruncatedSeries.from_json_dict(bad)
+
+    def test_from_json_refuses_what_the_constructor_refuses(self):
+        # the payload's coefficients are strings; a float would load as its
+        # binary value and a bool as 0 or 1, so both are refused, as is an
+        # order that is not an int
+        for order in (1.9, True, "2"):
+            with pytest.raises(ValueError, match="order must be an int"):
+                TruncatedSeries.from_json_dict({"order": order, "coeffs": ["1", "2"]})
+        for coeff in (0.1, True, None):
+            with pytest.raises(ValueError, match="coefficients must be ints or Fractions"):
+                TruncatedSeries.from_json_dict({"order": 1, "coeffs": ["1", coeff]})
