@@ -35,7 +35,7 @@ from typing import Callable, NamedTuple, Sequence
 from .partitions import (
     Partition,
     Stream,
-    conjugate_parts,
+    column_tuples,
     doubled_tuples,
     enum_B,
     enum_D,
@@ -50,17 +50,19 @@ from .series import DEFAULT_ORDER, TruncatedSeries, polynomial
 
 def _branching_sum(order: int, m: int, n: int, stream: Stream) -> TruncatedSeries:
     """Add the gl(m|n) superdimension of each shape of a (parts, weight)
-    stream bounded by weight <= order at t^weight: the gl(m-n) dimension of
-    parts when m >= n, else (-1)^weight times the gl(n-m) dimension of the
-    conjugate of parts.  The sign reads weight as |parts|; the one stream
-    where they differ, so(2k) with a head row, has n = 0."""
+    stream bounded by weight <= order at t^weight.  When m >= n the stream
+    carries the rows of each shape, which count by their gl(m-n) dimension.
+    When m < n it carries the column heights, the conjugate shape, which
+    counts by (-1)^weight times its gl(n-m) dimension.  The sign reads weight
+    as the number of boxes; the one stream where they differ, so(2k) with a
+    head row, has n = 0."""
     coeffs = [0] * (order + 1)
     if m >= n:
         for parts, weight in stream:
             coeffs[weight] += weyl_product(m - n, parts)
     else:
-        for parts, weight in stream:
-            dim = weyl_product(n - m, conjugate_parts(parts))
+        for cols, weight in stream:
+            dim = weyl_product(n - m, cols)
             coeffs[weight] += -dim if weight % 2 else dim
     return TruncatedSeries(coeffs, order)
 
@@ -107,11 +109,13 @@ def ospB_sdim_t(m: int, n: int, p: int, order: int = DEFAULT_ORDER) -> Truncated
 
     The sum runs over partitions with lambda_1 <= p weighted by the gl(m|n)
     superdimension; the enumeration bounds below are exactly the shapes on
-    which that superdimension can be non-zero.
+    which that superdimension can be non-zero.  When m < n the shapes are
+    streamed as their column heights.
     """
     _check_family("ospB", m=m, n=n, p=p, order=order)
-    bounds = (p, m - n) if m >= n else (min(p, n - m), None)
-    return _branching_sum(order, m, n, partition_tuples(order, *bounds))
+    if m >= n:
+        return _branching_sum(order, m, n, partition_tuples(order, p, m - n))
+    return _branching_sum(order, m, n, column_tuples(order, min(p, n - m)))
 
 
 def so_odd_dim_t(k: int, p: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
@@ -127,8 +131,12 @@ def ospD_sdim_t(m: int, n: int, p: int, order: int = DEFAULT_ORDER) -> Truncated
     gl(m|n) level at +t: like the odd case but restricted to partitions in
     which every part value occurs an even number of times."""
     _check_family("ospD", m=m, n=n, p=p, order=order)
-    bounds = (p, m - n) if m >= n else (min(p, n - m), None)
-    return _branching_sum(order, m, n, doubled_tuples(order, *bounds))
+    if m >= n:
+        return _branching_sum(order, m, n, doubled_tuples(order, p, m - n))
+    # doubling every row of mu doubles every column
+    halves = column_tuples(order // 2, min(p, n - m))
+    stream = ((tuple([2 * h for h in cols]), 2 * w) for cols, w in halves)
+    return _branching_sum(order, m, n, stream)
 
 
 def so_even_dim_t(

@@ -127,7 +127,8 @@ class TruncatedSeries:
         return _make([-x for x in self._nums], self._den)
 
     def __mul__(self, other: Union["TruncatedSeries", Scalar]) -> "TruncatedSeries":
-        if isinstance(other, (int, Fraction)):
+        # a bool is refused as a float is: NotImplemented, so TypeError
+        if isinstance(other, (int, Fraction)) and type(other) is not bool:
             c = Fraction(other)
             num = c.numerator
             return _make([x * num for x in self._nums], self._den * c.denominator)
@@ -147,7 +148,7 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
     def __truediv__(self, other: Union["TruncatedSeries", Scalar]) -> "TruncatedSeries":
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and type(other) is not bool:
             return self * (Fraction(1) / Fraction(other))
         if not isinstance(other, TruncatedSeries):
             return NotImplemented

@@ -75,6 +75,24 @@ def test_ospD(order, m, n, p):
     assert_same(ospD_sdim_t(m, n, p, order), want)
 
 
+# the tall builders walk column heights; one deep point each pins that walk
+TALL_DEEP = (1, 5, 24)
+
+
+@pytest.mark.parametrize("p", [2, 5])
+def test_ospB_tall_deep(p):
+    m, n, order = TALL_DEEP
+    want = series(((lam.weight, sdim(m, n, lam)) for lam in enum_partitions(order, p)), order)
+    assert_same(ospB_sdim_t(m, n, p, order), want)
+
+
+@pytest.mark.parametrize("p", [2, 5])
+def test_ospD_tall_deep(p):
+    m, n, order = TALL_DEEP
+    want = series(((lam.weight, sdim(m, n, lam)) for lam in enum_B(order, p)), order)
+    assert_same(ospD_sdim_t(m, n, p, order), want)
+
+
 @pytest.mark.parametrize("order", ORDERS)
 @pytest.mark.parametrize("n", [1, 2, 4])
 @pytest.mark.parametrize("p", [0, 1, 2, 5])

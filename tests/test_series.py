@@ -150,6 +150,13 @@ class TestArithmetic:
             with pytest.raises(ValueError, match=f"power must be an int, got {bad}"):
                 polynomial([1, 1], 4) ** bad
 
+    def test_rejects_a_float_or_bool_scalar(self):
+        s = polynomial([1, 1], 4)
+        for bad in (2.5, True, False):
+            for op in (lambda: s * bad, lambda: bad * s, lambda: s / bad):
+                with pytest.raises(TypeError):
+                    op()
+
     def test_ring_axioms_random(self):
         rng = random.Random(20260819)
         one = TruncatedSeries.one(12)
