@@ -154,7 +154,7 @@ def so_even_dim_t(
     """
     _check_family("soEven", k=k, p=p, chirality=chirality, order=order)
     # at most k rows, or k - 1 under the head row; doubling rounds both down
-    if (chirality == "last") == (k % 2 == 0):
+    if chirality == _CHIRALITY[k % 2]:
         return _branching_sum(order, k, 0, doubled_tuples(order, p, k))
     stream = (((p,) + parts, weight) for parts, weight in doubled_tuples(order, p, k - 1))
     return _branching_sum(order, k, 0, stream)
@@ -222,10 +222,6 @@ def d21_sdim_closed(p: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
 # Rows look builders up by module global at call time, so a patched builder runs.
 
 
-def _young(lam: tuple[int, ...]) -> str:
-    return "(" + ",".join(map(str, lam)) + ")" if lam else "(0)"
-
-
 def _dynkin(rank: int, *tail) -> str:
     """The Dynkin label [0,...,0,*tail] with rank entries."""
     return "[" + ",".join(["0"] * (rank - len(tail)) + [str(x) for x in tail]) + "]"
@@ -290,9 +286,9 @@ def _check_family(family: str, **values) -> None:
 _CHIRALITY = ("last", "next_to_last")
 
 FAMILIES: dict[str, Family] = {
-    "gl": Family({"n": 1, "lam": None}, lambda s: f"gl({s.n})", lambda s: _young(s.lam), {}),
+    "gl": Family({"n": 1, "lam": None}, lambda s: f"gl({s.n})", lambda s: str(Partition(s.lam)), {}),
     "glsuper": Family(
-        {"m": 0, "n": 0, "lam": None}, lambda s: f"gl({s.m}|{s.n})", lambda s: _young(s.lam), {}
+        {"m": 0, "n": 0, "lam": None}, lambda s: f"gl({s.m}|{s.n})", lambda s: str(Partition(s.lam)), {}
     ),
     "osp1": Family(
         {"n": 1, "p": 0}, lambda s: f"osp(1|{2 * s.n})", lambda s: _dynkin(s.n, -s.p),

@@ -20,8 +20,8 @@ Exit codes:
    "internal error: ..." line on stderr
 
 Called with standalone_mode=False, as a library caller or test harness does,
-the group lets every exception propagate unchanged.  The default truncation
-order can be set with the OSPDIM_ORDER environment variable.
+the group lets every exception propagate unchanged.  OSPDIM_ORDER, when set
+and not empty, replaces the default truncation order.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ import csv
 import io
 import itertools
 import json
-import os
 import sys
 
 import click
@@ -43,23 +42,8 @@ from .series import DEFAULT_ORDER
 from .selftest import run_selftest
 
 FORMATS = click.Choice(["text", "json", "csv"])
-
-
-def _resolve_order(order: int | None, default: int = DEFAULT_ORDER) -> int:
-    if order is not None:
-        if order < 0:
-            raise click.UsageError("--order must be non-negative")
-        return order
-    env = os.environ.get("OSPDIM_ORDER")
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError:
-            raise click.UsageError(f"OSPDIM_ORDER must be an integer, got {env!r}")
-        if value < 0:
-            raise click.UsageError("OSPDIM_ORDER must be non-negative")
-        return value
-    return default
+# every --order: the flag beats OSPDIM_ORDER, which beats the default, and a negative value is a usage error
+ORDER = {"type": click.IntRange(min=0), "envvar": "OSPDIM_ORDER", "show_envvar": True, "show_default": True}
 
 
 def _parse_partition(text: str | None, flag: str) -> Partition:
@@ -165,7 +149,7 @@ def dim(family, m, n, lam_text, fmt):
 @click.option("--n", type=int, default=None)
 @click.option("--k", type=int, default=None)
 @click.option("--p", type=int, default=None)
-@click.option("--order", type=int, default=None, help=f"truncation order [default: OSPDIM_ORDER or {DEFAULT_ORDER}]")
+@click.option("--order", default=DEFAULT_ORDER, help="truncation order", **ORDER)
 @click.option("--route", type=click.Choice(list(dict.fromkeys(r for f in FAMILIES.values() for r in f.routes))),
               help="computation route [default: the family's first]")
 @click.option("--chirality", type=click.Choice(FAMILIES["soEven"].params["chirality"]),
@@ -173,7 +157,6 @@ def dim(family, m, n, lam_text, fmt):
 @click.option("--format", "fmt", type=FORMATS, default="text", show_default=True)
 def series(family, m, n, k, p, order, route, chirality, fmt):
     """t-expansion of one dimension or superdimension series."""
-    order = _resolve_order(order)
     spec = _spec(family, {"m": m, "n": n, "k": k, "p": p, "chirality": chirality}, chirality="last")
     routes = FAMILIES[family].routes
     route = route or next(iter(routes))
@@ -194,11 +177,10 @@ def series(family, m, n, k, p, order, route, chirality, fmt):
 @click.option("--n", type=int, default=None)
 @click.option("--k", type=int, default=None)
 @click.option("--p", type=int, default=None)
-@click.option("--order", type=int, default=None)
+@click.option("--order", default=DEFAULT_ORDER, help="truncation order", **ORDER)
 @click.option("--format", "fmt", type=FORMATS, default="text", show_default=True)
 def verify(case, m, n, k, p, order, fmt):
     """Compare both sides of one correspondence; exit 1 on mismatch."""
-    order = _resolve_order(order)
     try:
         report = verify_correspondence(case, k=k, p=p, n=n, m=m, order=order)
     except ValueError as exc:
@@ -226,11 +208,10 @@ def verify(case, m, n, k, p, order, fmt):
 @click.option("--k-max", type=int, default=4, show_default=True)
 @click.option("--p-max", type=int, default=4, show_default=True)
 @click.option("--free-count", type=int, default=3, show_default=True, help="how many values of the free rank parameter")
-@click.option("--order", type=int, default=None, help="truncation order [default: OSPDIM_ORDER or 12]")
+@click.option("--order", default=12, help="truncation order", **ORDER)
 @click.option("--format", "fmt", type=FORMATS, default="text", show_default=True)
 def sweep(case, k_max, p_max, free_count, order, fmt):
     """Run a correspondence over parameter ranges; exit 1 on any mismatch."""
-    order = _resolve_order(order, default=12)
     highest = {"k": k_max, "p": p_max}
     plan = []
     for c in list(CASES) if case == "all" else [case]:

@@ -228,10 +228,13 @@ def super_schur_eval(lam: Partition, xs: Sequence, ys: Sequence) -> Fraction:
     fraction-free at the integers (D x | D y) and divided by D^|lam|, since
     s_lam is homogeneous of degree |lam|.  It stays defined at repeated
     coordinates, and vanishes unless lam fits in the (m,n) fat hook, i.e.
-    lam_{m+1} <= n.
+    lam_{m+1} <= n.  A coordinate that is not an int or a Fraction, a bool
+    included, is a ValueError.
     """
-    xs = [Fraction(x) for x in xs]
-    ys = [Fraction(y) for y in ys]
+    xs, ys = list(xs), list(ys)
+    for c in xs + ys:
+        if type(c) is bool or not isinstance(c, (int, Fraction)):
+            raise ValueError(f"coordinates must be ints or Fractions, got {c!r}")
     if lam[len(xs)] > len(ys):
         return Fraction(0)
     ell = len(lam)

@@ -267,10 +267,17 @@ class TruncatedSeries:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "TruncatedSeries":
-        """The series of a to_json_dict payload.  String coefficients are
-        parsed as Fractions; the order and every other coefficient go to the
-        constructor as they are, which refuses what it does not take."""
-        coeffs = [Fraction(c) if type(c) is str else c for c in data["coeffs"]]
+        """The series of a to_json_dict payload.  The coefficients must come
+        as a list, and string ones are parsed as Fractions; the order and every
+        other coefficient go to the constructor as they are, which refuses
+        what it does not take."""
+        raw = data["coeffs"]
+        if not isinstance(raw, list):
+            raise ValueError(f"coeffs must be a list, got {raw!r}")
+        try:
+            coeffs = [Fraction(c) if type(c) is str else c for c in raw]
+        except ZeroDivisionError:
+            raise ValueError(f"coefficients must have nonzero denominators, got {raw!r}") from None
         series = cls(coeffs, data["order"])
         if len(coeffs) != series.order + 1:
             raise ValueError(

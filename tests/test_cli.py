@@ -318,7 +318,8 @@ class TestSweep:
     def test_negative_order_is_usage_error(self):
         result = run("sweep", "--case", "d21-vs-so2", "--p-max", "1", "--order", "-1")
         assert result.exit_code == 2
-        assert "--order must be non-negative" in result.output
+        assert "'--order'" in result.output
+        assert "x>=0" in result.output
 
     def test_nothing_to_check_is_usage_error(self):
         result = run("sweep", "--case", "ospD-vs-soEven", "--k-max", "1")
@@ -409,6 +410,41 @@ class TestOrderEnv:
             )
             assert result.exit_code == 2
             assert "OSPDIM_ORDER" in result.output
+
+    def test_env_applies_to_verify(self):
+        result = run("verify", "--case", "d21-vs-so2", "--p", "2", env={"OSPDIM_ORDER": "5"})
+        assert result.exit_code == 0
+        assert "(order 5)" in result.output
+
+    def test_flag_beats_env_for_verify(self):
+        result = run(
+            "verify", "--case", "d21-vs-so2", "--p", "2", "--order", "3",
+            env={"OSPDIM_ORDER": "9"},
+        )
+        assert result.exit_code == 0
+        assert "(order 3)" in result.output
+
+    def test_bad_env_is_usage_error_for_verify(self):
+        for value in ("abc", "-3"):
+            result = run("verify", "--case", "d21-vs-so2", "--p", "2", env={"OSPDIM_ORDER": value})
+            assert result.exit_code == 2
+            assert "OSPDIM_ORDER" in result.output
+
+    @pytest.mark.parametrize("command, default", [("series", 16), ("verify", 16), ("sweep", 12)])
+    def test_help_shows_env_var_and_default(self, command, default):
+        result = run(command, "--help", env={"OSPDIM_ORDER": None})
+        assert result.exit_code == 0
+        # help wraps to the terminal width, so compare with runs of spaces collapsed
+        assert f"[env var: OSPDIM_ORDER; default: {default}; x>=0]" in " ".join(result.output.split())
+
+    def test_empty_env_counts_as_unset(self):
+        result = run("series", "--family", "osp1", "--n", "2", "--p", "1", env={"OSPDIM_ORDER": ""})
+        assert result.exit_code == 0
+        assert result.output.rstrip().endswith("17t^16")
+        result = run("verify", "--case", "d21-vs-so2", "--p", "2", env={"OSPDIM_ORDER": ""})
+        assert "(order 16)" in result.output
+        result = run("sweep", "--case", "d21-vs-so2", "--p-max", "1", env={"OSPDIM_ORDER": ""})
+        assert "order 12" in result.output
 
 
 class TestVersion:

@@ -334,6 +334,16 @@ class TestSuperSchur:
                     got = super_schur_eval(lam, xs, ys)
                     assert got == lr_super_schur(lam, xs, ys), (lam, xs, ys)
 
+    @pytest.mark.parametrize("bad", [0.1, True, "1/2"])
+    def test_refuses_an_inexact_coordinate(self, bad):
+        # Fraction() would take each of these: 0.1 as its binary value, True
+        # as 1 and "1/2" as a half
+        for xs, ys in (([bad], []), ([1], [bad])):
+            with pytest.raises(ValueError, match="coordinates must be ints or Fractions"):
+                super_schur_eval(Partition([1]), xs, ys)
+        with pytest.raises(ValueError, match="coordinates must be ints or Fractions"):
+            schur_eval(Partition([1]), [Fraction(1, 2), bad])
+
     def test_zero_first_pivot(self):
         # h_1(1, 2 | -3) = 0, so the elimination must swap rows
         assert super_schur_eval(Partition([1, 1]), [1, 2], [-3]) == 2

@@ -302,6 +302,10 @@ class TestSerialization:
             {"order": 5, "coeffs": ["1"]},
             {"order": 1, "coeffs": ["1", "2", "3"]},
             {"order": -1, "coeffs": []},
+            # a string would load character by character, as 1 + 2t + 3t^2
+            {"order": 2, "coeffs": "123"},
+            # Fraction("1/0") raises ZeroDivisionError
+            {"order": 2, "coeffs": ["1/0", "0", "0"]},
         ):
             with pytest.raises(ValueError):
                 TruncatedSeries.from_json_dict(bad)
