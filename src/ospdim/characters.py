@@ -5,9 +5,11 @@ Every series here is exact: coefficients are integers (read back as Fractions)
 obtained from branching sums over constrained partition families or from
 closed-form rational expressions.  All series are normalized so that the
 lowest-weight prefactor is dropped and the constant term is the dimension of
-the bottom graded piece.  Series use the +t grading; identities that need
-t -> -t apply substitute_neg_t explicitly at the comparison site, never
-inside a builder.
+the bottom graded piece.  Every branching sum is one plain gl(k) kernel,
+`_branching_sum`.  Builders return the +t grading; identities that need
+t -> -t apply substitute_neg_t explicitly at the comparison site.  The one
+use inside a builder is a tall (m < n) osp sum: a gl(n-m) sum over the
+conjugate shapes, taken at -t for the superdimension's sign (-1)^|lambda|.
 
 Two tables name everything the package can build and check.  FAMILIES has
 one row per family: the rule of each parameter, its algebra and Dynkin-label
@@ -35,7 +37,6 @@ from typing import Callable, NamedTuple, Sequence
 from .partitions import (
     Partition,
     Stream,
-    column_tuples,
     doubled_tuples,
     enum_B,
     enum_D,
@@ -48,22 +49,12 @@ from .schur import dim_gl_frobenius, super_schur_eval, weyl_product
 from .series import DEFAULT_ORDER, TruncatedSeries, polynomial
 
 
-def _branching_sum(order: int, m: int, n: int, stream: Stream) -> TruncatedSeries:
-    """Add the gl(m|n) superdimension of each shape of a (parts, weight)
-    stream bounded by weight <= order at t^weight.  When m >= n the stream
-    carries the rows of each shape, which count by their gl(m-n) dimension.
-    When m < n it carries the column heights, the conjugate shape, which
-    counts by (-1)^weight times its gl(n-m) dimension.  The sign reads weight
-    as the number of boxes; the one stream where they differ, so(2k) with a
-    head row, has n = 0."""
+def _branching_sum(order: int, k: int, stream: Stream) -> TruncatedSeries:
+    """Add the gl(k) dimension of each shape of a (parts, weight) stream
+    bounded by weight <= order at t^weight."""
     coeffs = [0] * (order + 1)
-    if m >= n:
-        for parts, weight in stream:
-            coeffs[weight] += weyl_product(m - n, parts)
-    else:
-        for cols, weight in stream:
-            dim = weyl_product(n - m, cols)
-            coeffs[weight] += -dim if weight % 2 else dim
+    for parts, weight in stream:
+        coeffs[weight] += weyl_product(k, parts)
     return TruncatedSeries(coeffs, order)
 
 
@@ -98,7 +89,7 @@ def osp1_dim_t(
     """
     _check_family("osp1", n=n, p=p, order=order, route=route)
     if route == "sum":
-        return _branching_sum(order, n, 0, partition_tuples(order, None, min(n, p)))
+        return _branching_sum(order, n, partition_tuples(order, None, min(n, p)))
     den = polynomial([1, -1], order) ** n * polynomial([1, 0, -1], order) ** (n * (n - 1) // 2)
     return osp1_numerator(n, p, order) / den
 
@@ -109,13 +100,16 @@ def ospB_sdim_t(m: int, n: int, p: int, order: int = DEFAULT_ORDER) -> Truncated
 
     The sum runs over partitions with lambda_1 <= p weighted by the gl(m|n)
     superdimension; the enumeration bounds below are exactly the shapes on
-    which that superdimension can be non-zero.  When m < n the shapes are
-    streamed as their column heights.
+    which that superdimension can be non-zero.  When m >= n that is the
+    gl(m-n) dimension of each shape.  When m < n it is (-1)^|lambda| times
+    the gl(n-m) dimension of the conjugate, so the gl(n-m) sum runs over
+    the conjugates, the shapes with at most min(p, n-m) rows, and t -> -t
+    puts in the sign.
     """
     _check_family("ospB", m=m, n=n, p=p, order=order)
     if m >= n:
-        return _branching_sum(order, m, n, partition_tuples(order, p, m - n))
-    return _branching_sum(order, m, n, column_tuples(order, min(p, n - m)))
+        return _branching_sum(order, m - n, partition_tuples(order, p, m - n))
+    return _branching_sum(order, n - m, partition_tuples(order, None, min(p, n - m))).substitute_neg_t()
 
 
 def so_odd_dim_t(k: int, p: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
@@ -123,20 +117,19 @@ def so_odd_dim_t(k: int, p: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     level: a polynomial of degree k*p summing gl(k) dimensions over
     partitions inside the k x p rectangle."""
     _check_family("soOdd", k=k, p=p, order=order)
-    return _branching_sum(order, k, 0, partition_tuples(order, p, k))
+    return _branching_sum(order, k, partition_tuples(order, p, k))
 
 
 def ospD_sdim_t(m: int, n: int, p: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """Superdimension series of the osp(2m|2n) irrep [0,...,0,p], graded by
     gl(m|n) level at +t: like the odd case but restricted to partitions in
-    which every part value occurs an even number of times."""
+    which every part value occurs an even number of times.  When m < n the
+    gl(n-m) sum runs over their conjugates, the even-part shapes with at
+    most min(p, n-m) rows, and t -> -t puts in the sign, as for ospB."""
     _check_family("ospD", m=m, n=n, p=p, order=order)
     if m >= n:
-        return _branching_sum(order, m, n, doubled_tuples(order, p, m - n))
-    # doubling every row of mu doubles every column
-    halves = column_tuples(order // 2, min(p, n - m))
-    stream = ((tuple([2 * h for h in cols]), 2 * w) for cols, w in halves)
-    return _branching_sum(order, m, n, stream)
+        return _branching_sum(order, m - n, doubled_tuples(order, p, m - n))
+    return _branching_sum(order, n - m, evened_tuples(order, min(p, n - m))).substitute_neg_t()
 
 
 def so_even_dim_t(
@@ -155,9 +148,9 @@ def so_even_dim_t(
     _check_family("soEven", k=k, p=p, chirality=chirality, order=order)
     # at most k rows, or k - 1 under the head row; doubling rounds both down
     if chirality == _CHIRALITY[k % 2]:
-        return _branching_sum(order, k, 0, doubled_tuples(order, p, k))
+        return _branching_sum(order, k, doubled_tuples(order, p, k))
     stream = (((p,) + parts, weight) for parts, weight in doubled_tuples(order, p, k - 1))
-    return _branching_sum(order, k, 0, stream)
+    return _branching_sum(order, k, stream)
 
 
 def sp_dim_t(k: int, p: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
@@ -166,7 +159,7 @@ def sp_dim_t(k: int, p: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     with even parts and at most min(p, k) rows.  Only even powers of t
     occur."""
     _check_family("sp", k=k, p=p, order=order)
-    return _branching_sum(order, k, 0, evened_tuples(order, min(p, k)))
+    return _branching_sum(order, k, evened_tuples(order, min(p, k)))
 
 
 def spinor_tdim(m: int, n: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
@@ -333,7 +326,9 @@ FAMILIES: dict[str, Family] = {
 @dataclass(frozen=True)
 class IrrepSpec:
     """A representation named the way the CLI and reports name it, its
-    parameters checked by `_check_params` against its family's table row."""
+    parameters checked by `_check_params` against its family's table row.
+    lam is stored as a tuple, so a spec given a list equals and hashes as
+    one given the tuple."""
 
     family: str
     m: int | None = None
@@ -348,6 +343,8 @@ class IrrepSpec:
             raise ValueError(f"unknown family {self.family!r}")
         _check_params("family", self.family, FAMILIES[self.family].params,
                       {f.name: getattr(self, f.name) for f in fields(self) if f.name != "family"})
+        if self.lam is not None:
+            object.__setattr__(self, "lam", tuple(self.lam))
 
     @property
     def algebra(self) -> str:

@@ -11,13 +11,14 @@ in which a partition's children append one part no larger than its last.  It
 yields raw `(parts, weight)` tuples in pre-order, larger next parts first, so
 within a fixed weight the stream is lexicographically descending but weights
 interleave.  The even-multiplicity and even-part families are its doubled and
-evened images (`doubled_tuples`, `evened_tuples`).  `column_tuples` walks
-the same tree but stores each node's conjugate, its column heights, so a
-tall sum never builds a shape row by row only to conjugate it.  Only the
-public `enum_*` functions promise weight-ascending order: they sort that
-stream stably by weight and wrap each tuple in a `Partition`.  Unbounded
-constraints are passed as None, never as a magic integer; a bound that is
-negative or not an int raises ValueError on the call, not on first use.
+evened images (`doubled_tuples`, `evened_tuples`).  These two families are
+each other's conjugates, as are the shapes with lambda_1 <= q and those with
+at most q rows, so a tall sum streams the conjugate family directly and
+never conjugates a shape.  Only the public `enum_*` functions promise
+weight-ascending order: they sort that stream stably by weight and wrap
+each tuple in a `Partition`.  Unbounded constraints are passed as None,
+never as a magic integer; a bound that is negative or not an int raises
+ValueError on the call, not on first use.
 """
 
 from __future__ import annotations
@@ -249,30 +250,6 @@ def _preorder(max_weight: int, caps: tuple[int, ...]) -> Stream:
             top = min(parts[-1] if parts else caps[0], caps[i], max_weight - weight)
             for c in range(1, top + 1):
                 push((parts + (c,), weight + c))
-
-
-def column_tuples(max_weight: int, max_part: int | None = None) -> Stream:
-    """The shapes of partition_tuples(max_weight, max_part, None) in its
-    order, each yielded as (conjugate parts, weight): the column heights,
-    so max_part bounds their number."""
-    _check_bounds(max_part=max_part, max_weight=max_weight)
-    return _column_preorder(max_weight, max_weight if max_part is None else max_part)
-
-
-def _column_preorder(max_weight: int, part_cap: int) -> Stream:
-    # a node holds its columns and its last row; a row of c boxes added
-    # below raises the first c columns by one, and c <= last row <= columns
-    stack = [((), 0, part_cap)]
-    pop, push = stack.pop, stack.append
-    while stack:
-        cols, weight, last = pop()
-        yield cols, weight
-        top = min(last, max_weight - weight)
-        if top:
-            # only the root has fewer than top columns
-            up = tuple([h + 1 for h in cols[:top]]) if cols else (1,) * top
-            for c in range(1, top + 1):
-                push((up[:c] + cols[c:], weight + c, c))
 
 
 def doubled_tuples(

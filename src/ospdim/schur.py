@@ -13,7 +13,8 @@ supersymmetric Jacobi-Trudi determinant det(h_{lam_i-i+j}(x | y)), with
 sum_k h_k(x | y) u^k = prod (1 + y_j u) / prod (1 - x_i u), taken over the
 integers at the coordinates scaled by the lcm D of their denominators and
 divided by D^|lam|.  Littlewood-Richardson coefficients come from tableau
-enumeration, and no evaluation uses them.
+enumeration, and no evaluation uses them.  The dimension formulas and the
+Schur evaluations refuse a lam that is not a Partition with ValueError.
 """
 
 from __future__ import annotations
@@ -25,6 +26,12 @@ from typing import Mapping, Sequence
 
 # subpartitions stays importable here for bench/layertrace.py
 from .partitions import FrobeniusForm, Partition, subpartitions
+
+
+def _check_partition(lam) -> None:
+    """ValueError unless lam is a Partition."""
+    if not isinstance(lam, Partition):
+        raise ValueError(f"lam must be a Partition, got {lam!r}")
 
 
 @cache
@@ -53,6 +60,7 @@ def dim_gl_weyl(n: int, lam: Partition) -> int:
     highest weight and gives 0."""
     if type(n) is not int or n <= 0:
         raise ValueError(f"n must be a positive int, got {n!r}")
+    _check_partition(lam)
     return weyl_product(n, lam.parts)
 
 
@@ -65,6 +73,7 @@ def dim_gl_hook(n: int, lam: Partition) -> int:
     """
     if type(n) is not int or n <= 0:
         raise ValueError(f"n must be a positive int, got {n!r}")
+    _check_partition(lam)
     num = 1
     den = 1
     for i in range(1, len(lam) + 1):
@@ -118,6 +127,7 @@ def sdim_gl(m: int, n: int, lam: Partition) -> int:
     """
     if type(m) is not int or type(n) is not int or m < 0 or n < 0:
         raise ValueError(f"m and n must be non-negative ints, got {m!r} and {n!r}")
+    _check_partition(lam)
     if m >= n:
         return weyl_product(m - n, lam.parts)
     sign = -1 if lam.weight % 2 else 1
@@ -231,6 +241,7 @@ def super_schur_eval(lam: Partition, xs: Sequence, ys: Sequence) -> Fraction:
     lam_{m+1} <= n.  A coordinate that is not an int or a Fraction, a bool
     included, is a ValueError.
     """
+    _check_partition(lam)
     xs, ys = list(xs), list(ys)
     for c in xs + ys:
         if type(c) is bool or not isinstance(c, (int, Fraction)):

@@ -75,7 +75,9 @@ def test_ospD(order, m, n, p):
     assert_same(ospD_sdim_t(m, n, p, order), want)
 
 
-# the tall builders walk column heights; one deep point each pins that walk
+# the tall builders stream the conjugate family, shapes with at most
+# min(p, n - m) rows or even parts, as a plain gl(n - m) sum at -t; one deep
+# point each pins that stream against the row-by-row oracle
 TALL_DEEP = (1, 5, 24)
 
 

@@ -1,7 +1,6 @@
 """Property-based tests of partitions and their enumerators: conjugation,
 Frobenius coordinates, closed-form counts, and the raw depth-first
-enumerator against the public weight-ordered one and a brute force, and the
-column walker against the conjugated raw enumerator."""
+enumerator against the public weight-ordered one and a brute force."""
 
 from math import comb
 
@@ -13,8 +12,6 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from ospdim.partitions import (  # noqa: E402
     FrobeniusForm,
     Partition,
-    column_tuples,
-    conjugate_parts,
     doubled_tuples,
     enum_B,
     enum_D,
@@ -110,15 +107,6 @@ def test_raw_enumerator_matches_enum_partitions(w, a, b):
     assert all(weight == sum(t) for t, weight in raw)
     assert set(parts) == {lam.parts for lam in enum_partitions(w, a, b)}
     assert set(parts) == brute_force(w, a, b)
-
-
-@CHECKS
-@given(st.integers(0, 16), bounds)
-def test_column_walker_conjugates_the_raw_enumerator(w, a):
-    rows = [(conjugate_parts(t), weight) for t, weight in partition_tuples(w, a)]
-    got = list(column_tuples(w, a))
-    assert got == rows
-    assert all(weight == sum(cols) for cols, weight in got)
 
 
 @CHECKS

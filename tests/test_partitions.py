@@ -7,8 +7,6 @@ import pytest
 from ospdim.partitions import (
     FrobeniusForm,
     Partition,
-    column_tuples,
-    conjugate_parts,
     doubled_tuples,
     enum_B,
     enum_D,
@@ -283,14 +281,6 @@ class TestEnumerators:
         assert bs == ds
 
 
-class TestColumnTuples:
-    @pytest.mark.parametrize("max_part", [None, 0, 1, 2, 3, 5, 40])
-    def test_conjugates_the_row_walk_in_order(self, max_part):
-        for w in range(15):
-            rows = [(conjugate_parts(t), weight) for t, weight in partition_tuples(w, max_part)]
-            assert list(column_tuples(w, max_part)) == rows
-
-
 class TestOffsetForms:
     def test_count_is_power_of_two(self):
         for n in range(9):
@@ -375,8 +365,6 @@ class TestNegativeBounds:
             lambda: partition_tuples(-1),
             lambda: partition_tuples(3, -1),
             lambda: partition_tuples(3, None, -1),
-            lambda: column_tuples(-1),
-            lambda: column_tuples(3, -1),
             lambda: doubled_tuples(4, None, -1),
             lambda: evened_tuples(4, -1),
         ]
@@ -390,8 +378,6 @@ class TestNegativeBounds:
             lambda bad: partition_tuples(bad),
             lambda bad: partition_tuples(3, bad),
             lambda bad: partition_tuples(3, None, bad),
-            lambda bad: column_tuples(bad),
-            lambda bad: column_tuples(4, bad),
             lambda bad: doubled_tuples(bad),
             lambda bad: doubled_tuples(4, bad),
             lambda bad: doubled_tuples(4, None, bad),

@@ -366,3 +366,20 @@ class TestSuperSchur:
             assert super_schur_eval(lam, [*xs, w], [*ys, -w]) == got
 
         check()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda lam: super_schur_eval(lam, [1, 1, 1], []),
+        lambda lam: schur_eval(lam, [1, 1, 1]),
+        lambda lam: sdim_gl(2, 1, lam),
+        lambda lam: dim_gl_weyl(3, lam),
+        lambda lam: dim_gl_hook(3, lam),
+    ],
+    ids=["super_schur_eval", "schur_eval", "sdim_gl", "dim_gl_weyl", "dim_gl_hook"],
+)
+@pytest.mark.parametrize("lam", [(2, 1), [2, 1], None])
+def test_lam_must_be_a_partition(call, lam):
+    with pytest.raises(ValueError, match="lam must be a Partition"):
+        call(lam)

@@ -85,6 +85,12 @@ class TestIrrepSpecChecks:
         with pytest.raises(ValueError, match=r"needs lam a partition, got \(2, 1, 0\)"):
             IrrepSpec("gl", n=3, lam=(2, 1, 0))
 
+    def test_lam_is_stored_as_a_tuple(self):
+        given_list = IrrepSpec("gl", n=2, lam=[2, 1])
+        assert given_list.lam == (2, 1)
+        assert given_list == IrrepSpec("gl", n=2, lam=(2, 1))
+        assert hash(given_list) == hash(IrrepSpec("gl", n=2, lam=(2, 1)))
+
     def test_table_covers_every_family(self):
         assert list(FAMILIES) == list(BOUNDS)
 
