@@ -28,7 +28,7 @@ for a series), osp1_numerator and cummins_king_check against their own rules.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from math import inf
 from typing import Callable, NamedTuple, Sequence
@@ -203,12 +203,11 @@ def d21_sdim_t(p: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
 
 
 def d21_sdim_closed(p: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
-    """Closed form (1-p) + 2p/(1+t) of the same series; its value at t=1
-    is 1 for every p, matching the dimension of the so(2) irrep [p]."""
+    """Closed form (1-p) + 2p/(1+t) = ((1+p) + (1-p)t)/(1+t) of the same
+    series, taken as one quotient; its value at t=1 is 1 for every p,
+    matching the dimension of the so(2) irrep [p]."""
     _check_family("d21", p=p, order=order)
-    return polynomial([1 - p], order) + polynomial([2 * p], order) / polynomial(
-        [1, 1], order
-    )
+    return polynomial([1 + p, 1 - p], order) / polynomial([1, 1], order)
 
 
 # -- the family table and irrep specifications -------------------------------
@@ -385,11 +384,19 @@ class Side:
 
 @dataclass(frozen=True)
 class CorrespondenceReport:
+    """Both sides of one case; the verdict is derived from their series."""
+
     case: str
     left: Side
     right: Side
-    match: bool
-    first_divergence: int | None
+
+    @property
+    def first_divergence(self) -> int | None:
+        return self.left.series.first_divergence(self.right.series)
+
+    @property
+    def match(self) -> bool:
+        return self.first_divergence is None
 
     def to_json_dict(self) -> dict:
         return {
@@ -482,9 +489,7 @@ def verify_correspondence(
             params[row.free] = 1
     _check_params("case", case, {**rules, "order": 0}, {**params, "order": order})
     params = {name: params[name] for name in rules}
-    left, right = row.left.compute(params, order), row.right.compute(params, order)
-    div = left.series.first_divergence(right.series)
-    return CorrespondenceReport(case, left, right, div is None, div)
+    return CorrespondenceReport(case, row.left.compute(params, order), row.right.compute(params, order))
 
 
 # -- randomized product-expansion check --------------------------------------
@@ -497,21 +502,15 @@ class CumminsKingReport:
     order: int
     trials: int
     seed: int
-    match: bool
     failed_trial: int | None = None
     first_divergence: int | None = None
 
+    @property
+    def match(self) -> bool:
+        return self.failed_trial is None
+
     def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "n": self.n,
-            "order": self.order,
-            "trials": self.trials,
-            "seed": self.seed,
-            "verdict": "match" if self.match else "mismatch",
-            "failed_trial": self.failed_trial,
-            "first_divergence": self.first_divergence,
-        }
+        return {**asdict(self), "verdict": "match" if self.match else "mismatch"}
 
 
 def _random_nonzero_fraction(rng: random.Random) -> Fraction:
@@ -568,7 +567,5 @@ def cummins_king_check(
         rhs = _ck_schur_side(xs, ys, order)
         div = lhs.first_divergence(rhs)
         if div is not None:
-            return CumminsKingReport(
-                m, n, order, trials, seed, False, failed_trial=trial, first_divergence=div
-            )
-    return CumminsKingReport(m, n, order, trials, seed, True)
+            return CumminsKingReport(m, n, order, trials, seed, trial, div)
+    return CumminsKingReport(m, n, order, trials, seed)

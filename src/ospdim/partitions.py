@@ -23,6 +23,7 @@ ValueError on the call, not on first use.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import chain, combinations
 from operator import itemgetter
 from typing import Iterable, Iterator
@@ -35,6 +36,12 @@ def _integers(values: Iterable[int], what: str) -> tuple[int, ...]:
         if type(v) is not int:
             raise ValueError(f"{what} must be integers, got {v!r}")
     return values
+
+
+def _check_partition(lam) -> None:
+    """ValueError unless lam is a Partition."""
+    if not isinstance(lam, Partition):
+        raise ValueError(f"lam must be a Partition, got {lam!r}")
 
 
 class Partition:
@@ -81,9 +88,6 @@ class Partition:
     def __iter__(self) -> Iterator[int]:
         return iter(self._parts)
 
-    def __bool__(self) -> bool:
-        return bool(self._parts)
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Partition):
             return self._parts == other._parts
@@ -102,8 +106,16 @@ class Partition:
 
     def conjugate(self) -> "Partition":
         """Reflect the diagram along the main diagonal: the j-th conjugate
-        part (0-based) is the height of column j+1."""
-        return Partition(conjugate_parts(self._parts))
+        part (0-based) is the height of column j+1, the number of parts
+        larger than j."""
+        parts = self._parts
+        out = []
+        rows = len(parts)
+        for j in range(parts[0] if parts else 0):
+            while parts[rows - 1] <= j:
+                rows -= 1
+            out.append(rows)
+        return Partition(out)
 
     def contains(self, other: "Partition") -> bool:
         """Diagram containment: other[i] <= self[i] for every row."""
@@ -137,14 +149,18 @@ class Partition:
         return FrobeniusForm(arms, legs)
 
 
+@dataclass(frozen=True, slots=True)
 class FrobeniusForm:
-    """Frobenius coordinates (a_1 > ... > a_r | b_1 > ... > b_r), all >= 0."""
+    """Frobenius coordinates (a_1 > ... > a_r | b_1 > ... > b_r), all >= 0.
+    Both are stored as tuples, so a form given lists equals and hashes as
+    one given tuples."""
 
-    __slots__ = ("_arms", "_legs")
+    arms: tuple[int, ...]
+    legs: tuple[int, ...]
 
-    def __init__(self, arms: Iterable[int], legs: Iterable[int]):
-        arms = _integers(arms, "coordinates")
-        legs = _integers(legs, "coordinates")
+    def __post_init__(self):
+        arms = _integers(self.arms, "coordinates")
+        legs = _integers(self.legs, "coordinates")
         if len(arms) != len(legs):
             raise ValueError("arm and leg sequences must have equal length")
         for seq in (arms, legs):
@@ -152,61 +168,30 @@ class FrobeniusForm:
                 raise ValueError(f"coordinates must be non-negative, got {seq}")
             if any(x <= y for x, y in zip(seq, seq[1:])):
                 raise ValueError(f"coordinates must strictly decrease, got {seq}")
-        self._arms = arms
-        self._legs = legs
-
-    @property
-    def arms(self) -> tuple[int, ...]:
-        return self._arms
-
-    @property
-    def legs(self) -> tuple[int, ...]:
-        return self._legs
+        object.__setattr__(self, "arms", arms)
+        object.__setattr__(self, "legs", legs)
 
     @property
     def rank(self) -> int:
-        return len(self._arms)
+        return len(self.arms)
 
     @property
     def weight(self) -> int:
         """Number of boxes: each diagonal box carries its arm and leg."""
-        return self.rank + sum(self._arms) + sum(self._legs)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, FrobeniusForm):
-            return self._arms == other._arms and self._legs == other._legs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self._arms, self._legs))
-
-    def __repr__(self) -> str:
-        return f"FrobeniusForm({list(self._arms)}, {list(self._legs)})"
+        return self.rank + sum(self.arms) + sum(self.legs)
 
     def __str__(self) -> str:
-        a = " ".join(map(str, self._arms))
-        b = " ".join(map(str, self._legs))
+        a = " ".join(map(str, self.arms))
+        b = " ".join(map(str, self.legs))
         return f"({a} | {b})"
 
     def to_partition(self) -> Partition:
         """Rebuild the partition whose diagonal hooks have these coordinates."""
-        rows = [self._arms[k] + k + 1 for k in range(self.rank)]
-        depth = self._legs[0] + 1 if self._legs else 0
+        rows = [self.arms[k] + k + 1 for k in range(self.rank)]
+        depth = self.legs[0] + 1 if self.legs else 0
         for i in range(self.rank, depth):
-            rows.append(sum(1 for k, b in enumerate(self._legs) if b + k >= i))
+            rows.append(sum(1 for k, b in enumerate(self.legs) if b + k >= i))
         return Partition(rows)
-
-
-def conjugate_parts(parts: tuple[int, ...]) -> tuple[int, ...]:
-    """Conjugate of a weakly decreasing tuple of positive parts: entry j
-    counts the parts larger than j."""
-    out = []
-    rows = len(parts)
-    for j in range(parts[0] if parts else 0):
-        while parts[rows - 1] <= j:
-            rows -= 1
-        out.append(rows)
-    return tuple(out)
 
 
 Stream = Iterator[tuple[tuple[int, ...], int]]
@@ -328,5 +313,6 @@ def enum_offset_forms(n: int, p: int) -> Iterator[tuple[FrobeniusForm, int]]:
 def subpartitions(lam: Partition, max_len: int | None = None) -> Iterator[Partition]:
     """All partitions contained in the diagram of lam, optionally with at
     most max_len parts, each once and in no promised order."""
+    _check_partition(lam)
     _check_bounds(max_len=max_len)
     return (Partition(parts) for parts, _ in _preorder(lam.weight, lam.parts[:max_len]))

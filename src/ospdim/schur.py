@@ -13,8 +13,8 @@ supersymmetric Jacobi-Trudi determinant det(h_{lam_i-i+j}(x | y)), with
 sum_k h_k(x | y) u^k = prod (1 + y_j u) / prod (1 - x_i u), taken over the
 integers at the coordinates scaled by the lcm D of their denominators and
 divided by D^|lam|.  Littlewood-Richardson coefficients come from tableau
-enumeration, and no evaluation uses them.  The dimension formulas and the
-Schur evaluations refuse a lam that is not a Partition with ValueError.
+enumeration, and no evaluation uses them.  A shape that is not a Partition,
+or a form that is not a FrobeniusForm, is refused with ValueError.
 """
 
 from __future__ import annotations
@@ -25,13 +25,7 @@ from math import factorial, lcm
 from typing import Mapping, Sequence
 
 # subpartitions stays importable here for bench/layertrace.py
-from .partitions import FrobeniusForm, Partition, subpartitions
-
-
-def _check_partition(lam) -> None:
-    """ValueError unless lam is a Partition."""
-    if not isinstance(lam, Partition):
-        raise ValueError(f"lam must be a Partition, got {lam!r}")
+from .partitions import FrobeniusForm, Partition, _check_partition, subpartitions
 
 
 @cache
@@ -96,6 +90,8 @@ def dim_gl_frobenius(n: int, form: FrobeniusForm) -> int:
     """
     if type(n) is not int or n <= 0:
         raise ValueError(f"n must be a positive int, got {n!r}")
+    if not isinstance(form, FrobeniusForm):
+        raise ValueError(f"form must be a FrobeniusForm, got {form!r}")
     arms, legs = form.arms, form.legs
     if any(b >= n for b in legs):
         return 0
@@ -145,6 +141,8 @@ def lr_expansion(outer: Partition, inner: Partition) -> Mapping[tuple[int, ...],
     right to left, top to bottom) a lattice word.  Filling the boxes in
     reverse reading order lets every constraint be checked incrementally.
     """
+    _check_partition(outer)
+    _check_partition(inner)
     if not outer.contains(inner):
         return {}
 
@@ -189,6 +187,8 @@ def lr_expansion(outer: Partition, inner: Partition) -> Mapping[tuple[int, ...],
 
 def lr_coefficient(outer: Partition, inner: Partition, content: Partition) -> int:
     """The Littlewood-Richardson coefficient c^{outer}_{inner, content}."""
+    for lam in (outer, inner, content):
+        _check_partition(lam)
     if not outer.contains(inner):
         return 0
     if inner.weight + content.weight != outer.weight:

@@ -6,7 +6,9 @@ import pytest
 from ospdim.characters import (
     CASES,
     CorrespondenceReport,
+    CumminsKingReport,
     IrrepSpec,
+    Side,
     _ck_product_side,
     _ck_schur_side,
     cummins_king_check,
@@ -401,6 +403,15 @@ class TestVerify:
         assert d["left"]["spec"]["family"] == "ospB"
         assert d["right"]["coeffs"][0] == "1"
 
+    def test_verdict_is_derived_from_the_two_sides(self):
+        spec = IrrepSpec("d21", p=1)
+        left = Side(spec, "branching", polynomial([1, 2, 3], 4))
+        right = Side(spec, "closed", polynomial([1, 2, 4], 4))
+        report = CorrespondenceReport("d21-vs-so2", left, right)
+        assert not report.match
+        assert report.first_divergence == 2
+        assert report.to_json_dict()["verdict"] == "mismatch"
+
     def test_routes_named(self):
         report = verify_correspondence("ospB-vs-osp1", k=2, p=1, order=6)
         assert report.right.route == "closed at -t"
@@ -458,6 +469,11 @@ class TestCumminsKing:
             "failed_trial": None,
             "first_divergence": None,
         }
+
+    def test_verdict_is_derived_from_the_failed_trial(self):
+        report = CumminsKingReport(1, 1, 4, 1, 1, failed_trial=0, first_divergence=3)
+        assert not report.match
+        assert report.to_json_dict()["verdict"] == "mismatch"
 
     def test_random_points_avoid_zero(self):
         rng = random.Random(7)

@@ -263,7 +263,7 @@ class TestVerify:
             report = real(case, **kwargs)
             flipped = report.right.series + TruncatedSeries.monomial(2, report.right.series.order)
             right = type(report.right)(report.right.spec, report.right.route, flipped)
-            return type(report)(report.case, report.left, right, False, 2)
+            return type(report)(report.case, report.left, right)
 
         monkeypatch.setattr(cli_mod, "verify_correspondence", broken)
         result = run("verify", "--case", "ospB-vs-soOdd", "--k", "2", "--p", "1", "--order", "6")

@@ -383,3 +383,22 @@ class TestSuperSchur:
 def test_lam_must_be_a_partition(call, lam):
     with pytest.raises(ValueError, match="lam must be a Partition"):
         call(lam)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: dim_gl_frobenius(3, ((1,), (0,))),
+        lambda: lr_expansion((2, 1), (1,)),
+        lambda: lr_expansion(Partition([2, 1]), (1,)),
+        lambda: lr_coefficient((2, 1), (1,), (1, 1)),
+        lambda: lr_coefficient(Partition([2, 1]), Partition([1]), (1, 1)),
+        lambda: subpartitions((2, 1)),
+    ],
+    ids=["dim_gl_frobenius", "lr_expansion", "lr_expansion_inner", "lr_coefficient",
+         "lr_coefficient_content", "subpartitions"],
+)
+def test_tuple_arguments_are_refused(call):
+    # raised on the call, not an AttributeError from inside
+    with pytest.raises(ValueError, match="must be a (Partition|FrobeniusForm)"):
+        call()
