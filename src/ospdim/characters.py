@@ -45,7 +45,7 @@ from .partitions import (
     evened_tuples,
     partition_tuples,
 )
-from .schur import dim_gl_frobenius, super_schur_eval, weyl_product
+from .schur import dim_gl_frobenius, super_schur_eval, weyl_table
 from .series import DEFAULT_ORDER, TruncatedSeries, polynomial
 
 
@@ -53,8 +53,9 @@ def _branching_sum(order: int, k: int, stream: Stream) -> TruncatedSeries:
     """Add the gl(k) dimension of each shape of a (parts, weight) stream
     bounded by weight <= order at t^weight."""
     coeffs = [0] * (order + 1)
+    dims = weyl_table(k)
     for parts, weight in stream:
-        coeffs[weight] += weyl_product(k, parts)
+        coeffs[weight] += dims[parts]
     return TruncatedSeries(coeffs, order)
 
 

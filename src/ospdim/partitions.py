@@ -8,17 +8,20 @@ ValueError rather than being rounded or cast.
 
 The non-recursive depth-first enumerator `partition_tuples` walks the tree
 in which a partition's children append one part no larger than its last.  It
-yields raw `(parts, weight)` tuples in pre-order, larger next parts first, so
-within a fixed weight the stream is lexicographically descending but weights
-interleave.  The even-multiplicity and even-part families are its doubled and
-evened images (`doubled_tuples`, `evened_tuples`).  These two families are
-each other's conjugates, as are the shapes with lambda_1 <= q and those with
-at most q rows, so a tall sum streams the conjugate family directly and
-never conjugates a shape.  Only the public `enum_*` functions promise
-weight-ascending order: they sort that stream stably by weight and wrap
-each tuple in a `Partition`.  Unbounded constraints are passed as None,
-never as a magic integer; a bound that is negative or not an int raises
-ValueError on the call, not on first use.
+yields raw `(parts, weight)` tuples, a node's children together and larger
+parts first as the walk expands that node, so every shape comes after its
+parent parts[:-1] and within a fixed weight the stream is lexicographically
+descending, but weights interleave and the raw order is otherwise not
+promised.  The even-multiplicity family is its doubled image
+(`doubled_tuples`); the even-part family (`evened_tuples`) is the same walk
+taken in steps of two.  These two families are each other's conjugates, as
+are the shapes with lambda_1 <= q and those with at most q rows, so a tall
+sum streams the conjugate family directly and never conjugates a shape.
+Only the public `enum_*` functions promise weight-ascending order: they sort
+that stream stably by weight and wrap each tuple in a `Partition`.
+Unbounded constraints are passed as None, never as a magic integer; a bound
+that is negative or not an int raises ValueError on the call, not on first
+use.
 """
 
 from __future__ import annotations
@@ -194,7 +197,8 @@ class FrobeniusForm:
         return Partition(rows)
 
 
-Stream = Iterator[tuple[tuple[int, ...], int]]
+Node = tuple[tuple[int, ...], int]
+Stream = Iterator[Node]
 
 
 def _check_bounds(
@@ -212,29 +216,40 @@ def partition_tuples(
     max_weight: int, max_part: int | None = None, max_len: int | None = None
 ) -> Stream:
     """All (parts, weight) with weight <= max_weight, parts[0] <= max_part
-    and len(parts) <= max_len, in depth-first pre-order with larger next
-    parts first."""
+    and len(parts) <= max_len, each after its parent parts[:-1] and, within
+    one weight, lexicographically descending."""
     _check_bounds(max_part=max_part, max_len=max_len, max_weight=max_weight)
     part_cap = max_weight if max_part is None else max_part
     len_cap = max_weight if max_len is None else min(max_len, max_weight)
-    return _preorder(max_weight, (part_cap,) * len_cap)
+    return chain.from_iterable(_preorder(max_weight, (part_cap,) * len_cap))
 
 
-def _preorder(max_weight: int, caps: tuple[int, ...]) -> Stream:
-    # row i holds at most caps[i], and len(caps) rows at most; a node's children
-    # are pushed smallest part first, so the largest pops first
-    stack = [((), 0)]
-    pop, push = stack.pop, stack.append
+def _preorder(max_weight: int, caps: tuple[int, ...], step: int = 1) -> Iterator[Iterable[Node]]:
+    """The (parts, weight) nodes with row i at most caps[i], at most
+    len(caps) rows, weight at most max_weight and every part a multiple of
+    step, in batches: the root, then the children of each node as the walk
+    expands it, largest first.  `chain.from_iterable` makes them a Stream.
+
+    Only children with room to grow are pushed, smallest first, so the
+    largest child's subtree is done before its next sibling is expanded.
+    """
+    yield (((), 0),)
     rows = len(caps)
+    stack = [((), 0)] if rows and max_weight >= step else []
+    pop, push = stack.pop, stack.extend
     while stack:
-        node = pop()
-        yield node
-        parts, weight = node
+        parts, weight = pop()
         i = len(parts)
-        if i < rows:
-            top = min(parts[-1] if parts else caps[0], caps[i], max_weight - weight)
-            for c in range(1, top + 1):
-                push((parts + (c,), weight + c))
+        room = max_weight - weight
+        top = parts[-1] if i else caps[0]
+        if caps[i] < top:
+            top = caps[i]
+        if room < top:
+            top = room
+        kids = [(parts + (c,), weight + c) for c in range(step, top + 1, step)]
+        yield reversed(kids)
+        if i + 1 < rows:
+            push(kids[: (room - step) // step])
 
 
 def doubled_tuples(
@@ -250,10 +265,11 @@ def doubled_tuples(
 
 def evened_tuples(max_weight: int, max_len: int | None = None) -> Stream:
     """The even-part family: (2 c1, 2 c2, ...) for every (c1, c2, ...) of
-    half the weight."""
+    half the weight, walked directly in parts that step by two."""
     _check_bounds(max_len=max_len, max_weight=max_weight)
-    stream = partition_tuples(max_weight // 2, None, max_len)
-    return ((tuple(2 * c for c in mu), 2 * w) for mu, w in stream)
+    half = max_weight // 2
+    len_cap = half if max_len is None else min(max_len, half)
+    return chain.from_iterable(_preorder(2 * half, (2 * half,) * len_cap, 2))
 
 
 def _by_weight(stream: Stream) -> Iterator[Partition]:
@@ -315,4 +331,5 @@ def subpartitions(lam: Partition, max_len: int | None = None) -> Iterator[Partit
     most max_len parts, each once and in no promised order."""
     _check_partition(lam)
     _check_bounds(max_len=max_len)
-    return (Partition(parts) for parts, _ in _preorder(lam.weight, lam.parts[:max_len]))
+    stream = chain.from_iterable(_preorder(lam.weight, lam.parts[:max_len]))
+    return (Partition(parts) for parts, _ in stream)

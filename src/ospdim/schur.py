@@ -4,9 +4,11 @@ coefficients and exact Schur polynomial evaluation.
 The three gl(n) dimension formulas (Weyl product, hook-content, Frobenius
 coordinates) are kept as genuinely separate code paths so they can be played
 against each other in tests; none of them is defined in terms of another.
-The Weyl product is memoized per process on (n, parts), since the branching
-sums on both sides of a correspondence ask for the same few gl(n) dimensions
-many times over; the hook-content and Frobenius formulas stay uncached.
+The Weyl product lives in one table per n, `weyl_table(n)`, a dict that
+fills a missing shape one row at a time from its longest prefix already
+held, since the branching sums on both sides of a correspondence ask for the
+same gl(n) dimensions many times over and walk every shape just after its
+parent; the hook-content and Frobenius formulas stay uncached.
 
 Schur polynomials are evaluated in one place, `super_schur_eval`: the
 supersymmetric Jacobi-Trudi determinant det(h_{lam_i-i+j}(x | y)), with
@@ -21,41 +23,69 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import factorial, lcm
+from math import comb, factorial, lcm
 from typing import Mapping, Sequence
 
 # subpartitions stays importable here for bench/layertrace.py
 from .partitions import FrobeniusForm, Partition, _check_partition, subpartitions
 
 
+class _WeylTable(dict):
+    """gl(n) dimensions keyed by parts, filled one row at a time.
+
+    A missing shape starts from its longest prefix already held and appends
+    the remaining rows one by one, storing every prefix it passes.  Adding
+    row i (0-based) of length c below rows lambda_0..lambda_{i-1} multiplies
+    the dimension by C(c + n-1-i, n-1-i) * prod_{a<i} (h_a - c)/h_a with
+    h_a = lambda_a + i - a: Weyl's prod_{i<j} (l_i - l_j)/(j - i) over
+    l_i = lambda_i + n-1-i, taken one row at a time.  Each division is exact,
+    since it leaves the dimension of the longer prefix.  A shape longer than
+    n rows gives 0 and is not stored.
+    """
+
+    __slots__ = ("n",)
+
+    def __init__(self, n: int):
+        super().__init__({(): 1})
+        self.n = n
+
+    def __missing__(self, parts: tuple[int, ...]) -> int:
+        n = self.n
+        if len(parts) > n:
+            return 0
+        held = len(parts) - 1
+        while parts[:held] not in self:
+            held -= 1
+        dim = self[parts[:held]]
+        for i in range(held, len(parts)):
+            c = parts[i]
+            num = comb(c + n - 1 - i, n - 1 - i)
+            den = 1
+            for a in range(i):
+                h = parts[a] + i - a
+                num *= h - c
+                den *= h
+            dim, r = divmod(dim * num, den)
+            assert r == 0, f"Weyl row {i} of {parts}, n={n} did not divide evenly"
+            self[parts[: i + 1]] = dim
+        return dim
+
+
 @cache
-def weyl_product(n: int, parts: tuple[int, ...]) -> int:
-    """Dimension of the gl(n) irrep with highest weight parts, n >= 0, as
-    prod_{i<j} (l_i - l_j)/(j - i) over the shifted sequence
-    l_i = lambda_i + n - i.  A shape longer than n rows gives 0, so gl(0)
-    has dimension 1 on the empty shape and 0 on every other."""
-    if len(parts) > n:
-        return 0
-    shifted = [a + n - 1 - i for i, a in enumerate(parts + (0,) * (n - len(parts)))]
-    num = 1
-    den = 1
-    for i, li in enumerate(shifted):
-        for j in range(i + 1, n):
-            num *= li - shifted[j]
-            den *= j - i
-    q, r = divmod(num, den)
-    assert r == 0, f"Weyl product for {parts}, n={n} did not divide evenly"
-    return q
+def weyl_table(n: int) -> dict[tuple[int, ...], int]:
+    """The process's one table of gl(n) dimensions, n >= 0, shared by every
+    caller: `weyl_table(n)[parts]` is the Weyl product of the shape."""
+    return _WeylTable(n)
 
 
 def dim_gl_weyl(n: int, lam: Partition) -> int:
     """Dimension of the gl(n) irrep with highest weight lam, n >= 1, by the
-    memoized Weyl product; a partition longer than n rows is not a gl(n)
-    highest weight and gives 0."""
+    Weyl product filled row by row into `weyl_table(n)`; a partition longer
+    than n rows is not a gl(n) highest weight and gives 0."""
     if type(n) is not int or n <= 0:
         raise ValueError(f"n must be a positive int, got {n!r}")
     _check_partition(lam)
-    return weyl_product(n, lam.parts)
+    return weyl_table(n)[lam.parts]
 
 
 def dim_gl_hook(n: int, lam: Partition) -> int:
@@ -125,9 +155,9 @@ def sdim_gl(m: int, n: int, lam: Partition) -> int:
         raise ValueError(f"m and n must be non-negative ints, got {m!r} and {n!r}")
     _check_partition(lam)
     if m >= n:
-        return weyl_product(m - n, lam.parts)
+        return weyl_table(m - n)[lam.parts]
     sign = -1 if lam.weight % 2 else 1
-    return sign * weyl_product(n - m, lam.conjugate().parts)
+    return sign * weyl_table(n - m)[lam.conjugate().parts]
 
 
 # -- Littlewood-Richardson coefficients -------------------------------------

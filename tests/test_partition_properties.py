@@ -118,3 +118,22 @@ def test_doubled_and_evened_images_match_B_and_D(w, a, b):
     evened = [t for t, _ in evened_tuples(w, b)]
     assert len(evened) == len(set(evened))
     assert set(evened) == {lam.parts for lam in enum_D(w, b)}
+
+
+def check_once_after_parent(stream):
+    """Each shape of the stream occurs once, and each non-empty one after
+    parts[:-1]."""
+    seen = set()
+    for parts, _ in stream:
+        assert parts not in seen, parts
+        assert not parts or parts[:-1] in seen, parts
+        seen.add(parts)
+
+
+@CHECKS
+@given(st.integers(0, 14), bounds, bounds)
+def test_walks_yield_each_shape_once_after_its_parent(w, a, b):
+    check_once_after_parent(partition_tuples(w, a, b))
+    check_once_after_parent(evened_tuples(w, b))
+    doubled = [t for t, _ in doubled_tuples(w, a, b)]
+    assert len(doubled) == len(set(doubled))

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from ospdim.schur import (
     schur_eval,
     sdim_gl,
     super_schur_eval,
+    weyl_table,
 )
 
 
@@ -402,3 +404,29 @@ def test_tuple_arguments_are_refused(call):
     # raised on the call, not an AttributeError from inside
     with pytest.raises(ValueError, match="must be a (Partition|FrobeniusForm)"):
         call()
+
+
+class TestWeylTable:
+    def fresh_table(self, n):
+        weyl_table.cache_clear()
+        return weyl_table(n)
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_fill_order_does_not_matter(self, n):
+        # longest first asks for shapes before their parents; weight-ascending
+        # order finds every parent in the table already
+        shapes = list(enum_partitions(10))
+        longest_first = self.fresh_table(n)
+        got = {lam: longest_first[lam.parts] for lam in sorted(shapes, key=len, reverse=True)}
+        parent_first = self.fresh_table(n)
+        for lam in shapes:
+            assert parent_first[lam.parts] == got[lam], (n, lam)
+            if n:
+                assert got[lam] == dim_gl_hook(n, lam), (n, lam)
+            else:
+                assert got[lam] == (1 if lam == () else 0), lam
+
+    def test_long_shapes_never_recurse(self):
+        n = sys.getrecursionlimit() + 100
+        assert dim_gl_weyl(n, Partition([1] * n)) == 1
+        assert sdim_gl(0, n, Partition([n])) == (-1) ** n
