@@ -6,10 +6,13 @@ obtained from branching sums over constrained partition families or from
 closed-form rational expressions.  All series are normalized so that the
 lowest-weight prefactor is dropped and the constant term is the dimension of
 the bottom graded piece.  Every branching sum is one plain gl(k) kernel,
-`_branching_sum`.  Builders return the +t grading; identities that need
-t -> -t apply substitute_neg_t explicitly at the comparison site.  The one
-use inside a builder is a tall (m < n) osp sum: a gl(n-m) sum over the
-conjugate shapes, taken at -t for the superdimension's sign (-1)^|lambda|.
+`_branching_sum`, over the sibling batches of a partition family: it reads
+one row of gl(k) dimensions per batch.  The even-multiplicity family and
+so(2k)'s shapes under a head row come as one-child batches.  Builders
+return the +t grading; identities that need t -> -t apply substitute_neg_t
+explicitly at the comparison site.  The one use inside a builder is a tall
+(m < n) osp sum: a gl(n-m) sum over the conjugate shapes, taken at -t for
+the superdimension's sign (-1)^|lambda|.
 
 Two tables name everything the package can build and check.  FAMILIES has
 one row per family: the rule of each parameter, its algebra and Dynkin-label
@@ -35,27 +38,33 @@ from typing import Callable, NamedTuple, Sequence
 
 # enum_D and enum_partitions stay importable here for bench/layertrace.py
 from .partitions import (
+    Batches,
     Partition,
-    Stream,
-    doubled_tuples,
+    doubled_batches,
     enum_B,
     enum_D,
     enum_offset_forms,
     enum_partitions,
-    evened_tuples,
-    partition_tuples,
+    evened_batches,
+    partition_batches,
 )
 from .schur import dim_gl_frobenius, super_schur_eval, weyl_table
 from .series import DEFAULT_ORDER, TruncatedSeries, polynomial
 
 
-def _branching_sum(order: int, k: int, stream: Stream) -> TruncatedSeries:
-    """Add the gl(k) dimension of each shape of a (parts, weight) stream
-    bounded by weight <= order at t^weight."""
+def _branching_sum(order: int, k: int, batches: Batches) -> TruncatedSeries:
+    """Add, for each (parent, weight, cs) batch of shapes bounded by weight
+    <= order, the gl(k) dimension of parent + (c,) at t^(weight + c) for
+    every c in cs: one row of `weyl_table(k)` per batch."""
     coeffs = [0] * (order + 1)
-    dims = weyl_table(k)
-    for parts, weight in stream:
-        coeffs[weight] += dims[parts]
+    rows = weyl_table(k)
+    get, fill = rows.get, rows.row
+    for parent, weight, cs in batches:
+        row = get(parent)
+        if row is None or len(row) <= cs[0]:
+            row = fill(parent, cs[0])
+        for c in cs:
+            coeffs[weight + c] += row[c]
     return TruncatedSeries(coeffs, order)
 
 
@@ -90,7 +99,7 @@ def osp1_dim_t(
     """
     _check_family("osp1", n=n, p=p, order=order, route=route)
     if route == "sum":
-        return _branching_sum(order, n, partition_tuples(order, None, min(n, p)))
+        return _branching_sum(order, n, partition_batches(order, None, min(n, p)))
     den = polynomial([1, -1], order) ** n * polynomial([1, 0, -1], order) ** (n * (n - 1) // 2)
     return osp1_numerator(n, p, order) / den
 
@@ -109,8 +118,8 @@ def ospB_sdim_t(m: int, n: int, p: int, order: int = DEFAULT_ORDER) -> Truncated
     """
     _check_family("ospB", m=m, n=n, p=p, order=order)
     if m >= n:
-        return _branching_sum(order, m - n, partition_tuples(order, p, m - n))
-    return _branching_sum(order, n - m, partition_tuples(order, None, min(p, n - m))).substitute_neg_t()
+        return _branching_sum(order, m - n, partition_batches(order, p, m - n))
+    return _branching_sum(order, n - m, partition_batches(order, None, min(p, n - m))).substitute_neg_t()
 
 
 def so_odd_dim_t(k: int, p: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
@@ -118,7 +127,7 @@ def so_odd_dim_t(k: int, p: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     level: a polynomial of degree k*p summing gl(k) dimensions over
     partitions inside the k x p rectangle."""
     _check_family("soOdd", k=k, p=p, order=order)
-    return _branching_sum(order, k, partition_tuples(order, p, k))
+    return _branching_sum(order, k, partition_batches(order, p, k))
 
 
 def ospD_sdim_t(m: int, n: int, p: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
@@ -129,8 +138,8 @@ def ospD_sdim_t(m: int, n: int, p: int, order: int = DEFAULT_ORDER) -> Truncated
     most min(p, n-m) rows, and t -> -t puts in the sign, as for ospB."""
     _check_family("ospD", m=m, n=n, p=p, order=order)
     if m >= n:
-        return _branching_sum(order, m - n, doubled_tuples(order, p, m - n))
-    return _branching_sum(order, n - m, evened_tuples(order, min(p, n - m))).substitute_neg_t()
+        return _branching_sum(order, m - n, doubled_batches(order, p, m - n))
+    return _branching_sum(order, n - m, evened_batches(order, min(p, n - m))).substitute_neg_t()
 
 
 def so_even_dim_t(
@@ -149,9 +158,11 @@ def so_even_dim_t(
     _check_family("soEven", k=k, p=p, chirality=chirality, order=order)
     # at most k rows, or k - 1 under the head row; doubling rounds both down
     if chirality == _CHIRALITY[k % 2]:
-        return _branching_sum(order, k, doubled_tuples(order, p, k))
-    stream = (((p,) + parts, weight) for parts, weight in doubled_tuples(order, p, k - 1))
-    return _branching_sum(order, k, stream)
+        return _branching_sum(order, k, doubled_batches(order, p, k))
+    # the head row goes above each parent and leaves the grading alone; the
+    # root batch ((), 0, (0,)) becomes (p) itself at t^0
+    batches = (((p,) + parent, weight, cs) for parent, weight, cs in doubled_batches(order, p, k - 1))
+    return _branching_sum(order, k, batches)
 
 
 def sp_dim_t(k: int, p: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
@@ -160,7 +171,7 @@ def sp_dim_t(k: int, p: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     with even parts and at most min(p, k) rows.  Only even powers of t
     occur."""
     _check_family("sp", k=k, p=p, order=order)
-    return _branching_sum(order, k, evened_tuples(order, min(p, k)))
+    return _branching_sum(order, k, evened_batches(order, min(p, k)))
 
 
 def spinor_tdim(m: int, n: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:

@@ -6,17 +6,23 @@ zeros are stripped on construction, so the zero partition is the empty tuple.
 A part or Frobenius coordinate must be an int: a float, string or bool raises
 ValueError rather than being rounded or cast.
 
-The non-recursive depth-first enumerator `partition_tuples` walks the tree
-in which a partition's children append one part no larger than its last.  It
-yields raw `(parts, weight)` tuples, a node's children together and larger
-parts first as the walk expands that node, so every shape comes after its
-parent parts[:-1] and within a fixed weight the stream is lexicographically
-descending, but weights interleave and the raw order is otherwise not
-promised.  The even-multiplicity family is its doubled image
-(`doubled_tuples`); the even-part family (`evened_tuples`) is the same walk
-taken in steps of two.  These two families are each other's conjugates, as
-are the shapes with lambda_1 <= q and those with at most q rows, so a tall
-sum streams the conjugate family directly and never conjugates a shape.
+The non-recursive depth-first walker `_preorder` walks the tree in which a
+partition's children append one part no larger than its last.  Its unit is
+a sibling batch `(parent, weight, cs)`: the children parent + (c,) for c in
+the range cs, largest first, each of weight weight + c; a last row c = 0 is
+no row, so the root batch ((), 0, (0,)) stands for the empty shape.  A
+node's batch comes as the walk expands it, so every shape comes after its
+parent parts[:-1] and within a fixed weight the shapes are
+lexicographically descending, but weights interleave and the raw order is
+otherwise not promised.  `partition_batches` streams these batches, as does
+`evened_batches`, the same walk taken in steps of two for the even-part
+family; `doubled_batches` gives each shape of the even-multiplicity family,
+the doubled image of a half-weight walk, as a one-child batch whose parent
+is the shape without its last row.  The two families are each other's
+conjugates, as are the shapes with lambda_1 <= q and those with at most q
+rows, so a tall sum streams the conjugate family directly and never
+conjugates a shape.  `partition_tuples`, `evened_tuples` and
+`doubled_tuples` expand the batches into raw `(parts, weight)` tuples.
 Only the public `enum_*` functions promise weight-ascending order: they sort
 that stream stably by weight and wrap each tuple in a `Partition`.
 Unbounded constraints are passed as None, never as a magic integer; a bound
@@ -29,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, combinations
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 def _integers(values: Iterable[int], what: str) -> tuple[int, ...]:
@@ -199,6 +205,10 @@ class FrobeniusForm:
 
 Node = tuple[tuple[int, ...], int]
 Stream = Iterator[Node]
+# a sibling batch (parent, weight, cs), as the module docstring describes
+Batch = tuple[tuple[int, ...], int, Sequence[int]]
+Batches = Iterator[Batch]
+ROOT: Batch = ((), 0, (0,))
 
 
 def _check_bounds(
@@ -212,30 +222,46 @@ def _check_bounds(
             raise ValueError(f"{name} must be an int >= 0, got {bound!r}")
 
 
+def _shapes(batches: Iterable[Batch]) -> Stream:
+    """The (parts, weight) of every child of every batch, in batch order."""
+    for parent, weight, cs in batches:
+        for c in cs:
+            yield (parent + (c,) if c else parent), weight + c
+
+
+def partition_batches(
+    max_weight: int, max_part: int | None = None, max_len: int | None = None
+) -> Batches:
+    """The shapes of `partition_tuples`, in the same order, as sibling
+    batches."""
+    _check_bounds(max_part=max_part, max_len=max_len, max_weight=max_weight)
+    part_cap = max_weight if max_part is None else max_part
+    len_cap = max_weight if max_len is None else min(max_len, max_weight)
+    return _preorder(max_weight, (part_cap,) * len_cap)
+
+
 def partition_tuples(
     max_weight: int, max_part: int | None = None, max_len: int | None = None
 ) -> Stream:
     """All (parts, weight) with weight <= max_weight, parts[0] <= max_part
     and len(parts) <= max_len, each after its parent parts[:-1] and, within
     one weight, lexicographically descending."""
-    _check_bounds(max_part=max_part, max_len=max_len, max_weight=max_weight)
-    part_cap = max_weight if max_part is None else max_part
-    len_cap = max_weight if max_len is None else min(max_len, max_weight)
-    return chain.from_iterable(_preorder(max_weight, (part_cap,) * len_cap))
+    return _shapes(partition_batches(max_weight, max_part, max_len))
 
 
-def _preorder(max_weight: int, caps: tuple[int, ...], step: int = 1) -> Iterator[Iterable[Node]]:
-    """The (parts, weight) nodes with row i at most caps[i], at most
-    len(caps) rows, weight at most max_weight and every part a multiple of
-    step, in batches: the root, then the children of each node as the walk
-    expands it, largest first.  `chain.from_iterable` makes them a Stream.
+def _preorder(max_weight: int, caps: tuple[int, ...], step: int = 1) -> Batches:
+    """The shapes with row i at most caps[i], at most len(caps) rows,
+    weight at most max_weight and every part a multiple of step, as sibling
+    batches: ROOT, then the children of each node as the walk expands it,
+    largest first.  The caps must be multiples of step and, past the
+    first, positive.
 
     Only children with room to grow are pushed, smallest first, so the
     largest child's subtree is done before its next sibling is expanded.
     """
-    yield (((), 0),)
+    yield ROOT
     rows = len(caps)
-    stack = [((), 0)] if rows and max_weight >= step else []
+    stack = [((), 0)] if rows and min(caps[0], max_weight) >= step else []
     pop, push = stack.pop, stack.extend
     while stack:
         parts, weight = pop()
@@ -246,10 +272,30 @@ def _preorder(max_weight: int, caps: tuple[int, ...], step: int = 1) -> Iterator
             top = caps[i]
         if room < top:
             top = room
-        kids = [(parts + (c,), weight + c) for c in range(step, top + 1, step)]
-        yield reversed(kids)
-        if i + 1 < rows:
-            push(kids[: (room - step) // step])
+        yield parts, weight, range(top, 0, -step)
+        grow = room - step
+        if top < grow:
+            grow = top
+        if grow >= step and i + 1 < rows:
+            push([(parts + (c,), weight + c) for c in range(step, grow + 1, step)])
+
+
+def doubled_batches(
+    max_weight: int, max_part: int | None = None, max_len: int | None = None
+) -> Batches:
+    """The shapes of `doubled_tuples`, in the same order, one per batch:
+    (c1, c1, ..., cj) with the one child cj at weight 2(c1 + ... + cj) - cj,
+    and ROOT for the empty shape."""
+    _check_bounds(max_part=max_part, max_len=max_len, max_weight=max_weight)
+    half_len = None if max_len is None else max_len // 2
+    return _doubled(partition_batches(max_weight // 2, max_part, half_len))
+
+
+def _doubled(half: Batches) -> Batches:
+    for parent, weight, cs in half:
+        twice = tuple(chain.from_iterable(zip(parent, parent)))
+        for c in cs:
+            yield (twice + (c,), 2 * weight + c, (c,)) if c else ROOT
 
 
 def doubled_tuples(
@@ -257,19 +303,22 @@ def doubled_tuples(
 ) -> Stream:
     """The even-multiplicity family: (c1, c1, c2, c2, ...) for every
     (c1, c2, ...) of half the weight and half the length bound."""
-    _check_bounds(max_part=max_part, max_len=max_len, max_weight=max_weight)
-    half_len = None if max_len is None else max_len // 2
-    stream = partition_tuples(max_weight // 2, max_part, half_len)
-    return ((tuple(chain.from_iterable(zip(mu, mu))), 2 * w) for mu, w in stream)
+    return _shapes(doubled_batches(max_weight, max_part, max_len))
+
+
+def evened_batches(max_weight: int, max_len: int | None = None) -> Batches:
+    """The shapes of `evened_tuples`, in the same order, as sibling
+    batches."""
+    _check_bounds(max_len=max_len, max_weight=max_weight)
+    half = max_weight // 2
+    len_cap = half if max_len is None else min(max_len, half)
+    return _preorder(2 * half, (2 * half,) * len_cap, 2)
 
 
 def evened_tuples(max_weight: int, max_len: int | None = None) -> Stream:
     """The even-part family: (2 c1, 2 c2, ...) for every (c1, c2, ...) of
     half the weight, walked directly in parts that step by two."""
-    _check_bounds(max_len=max_len, max_weight=max_weight)
-    half = max_weight // 2
-    len_cap = half if max_len is None else min(max_len, half)
-    return chain.from_iterable(_preorder(2 * half, (2 * half,) * len_cap, 2))
+    return _shapes(evened_batches(max_weight, max_len))
 
 
 def _by_weight(stream: Stream) -> Iterator[Partition]:
@@ -331,5 +380,4 @@ def subpartitions(lam: Partition, max_len: int | None = None) -> Iterator[Partit
     most max_len parts, each once and in no promised order."""
     _check_partition(lam)
     _check_bounds(max_len=max_len)
-    stream = chain.from_iterable(_preorder(lam.weight, lam.parts[:max_len]))
-    return (Partition(parts) for parts, _ in stream)
+    return (Partition(parts) for parts, _ in _shapes(_preorder(lam.weight, lam.parts[:max_len])))

@@ -4,11 +4,12 @@ coefficients and exact Schur polynomial evaluation.
 The three gl(n) dimension formulas (Weyl product, hook-content, Frobenius
 coordinates) are kept as genuinely separate code paths so they can be played
 against each other in tests; none of them is defined in terms of another.
-The Weyl product lives in one table per n, `weyl_table(n)`, a dict that
-fills a missing shape one row at a time from its longest prefix already
-held, since the branching sums on both sides of a correspondence ask for the
-same gl(n) dimensions many times over and walk every shape just after its
-parent; the hook-content and Frobenius formulas stay uncached.
+The Weyl product lives in one table per n, `weyl_table(n)`, of rows keyed
+by a parent shape: row[c] is the dimension of parent + (c,), each entry
+carried from the one before it, and a row is extended when a caller needs
+a longer one.  The branching sums ask for the gl(n) dimensions of a
+parent's children together, on both sides of a correspondence and many
+times over; the hook-content and Frobenius formulas stay uncached.
 
 Schur polynomials are evaluated in one place, `super_schur_eval`: the
 supersymmetric Jacobi-Trudi determinant det(h_{lam_i-i+j}(x | y)), with
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial, lcm
+from math import factorial, lcm
 from typing import Mapping, Sequence
 
 # subpartitions stays importable here for bench/layertrace.py
@@ -31,61 +32,90 @@ from .partitions import FrobeniusForm, Partition, _check_partition, subpartition
 
 
 class _WeylTable(dict):
-    """gl(n) dimensions keyed by parts, filled one row at a time.
+    """gl(n) dimensions in rows keyed by a parent shape: row[c] is the
+    dimension of parent + (c,), so row[0] is the parent's own.
 
-    A missing shape starts from its longest prefix already held and appends
-    the remaining rows one by one, storing every prefix it passes.  Adding
-    row i (0-based) of length c below rows lambda_0..lambda_{i-1} multiplies
-    the dimension by C(c + n-1-i, n-1-i) * prod_{a<i} (h_a - c)/h_a with
-    h_a = lambda_a + i - a: Weyl's prod_{i<j} (l_i - l_j)/(j - i) over
-    l_i = lambda_i + n-1-i, taken one row at a time.  Each division is exact,
-    since it leaves the dimension of the longer prefix.  A shape longer than
-    n rows gives 0 and is not stored.
+    Appending row i (0-based) of length c to rows lambda_0..lambda_{i-1}
+    multiplies the dimension by C(c + n-1-i, n-1-i) * prod_{a<i} (h_a - c)/h_a
+    with h_a = lambda_a + i - a: Weyl's prod_{i<j} (l_i - l_j)/(j - i) over
+    l_i = lambda_i + n-1-i, taken one row at a time.  A row carries that
+    factor from c - 1 to c, multiplying by (c + n-1-i)/c * prod_{a<i}
+    (h_a - c)/(h_a - c + 1).  Each division is exact, since it leaves a
+    dimension.  A parent of n rows or more has no non-empty child.
     """
 
     __slots__ = ("n",)
 
     def __init__(self, n: int):
-        super().__init__({(): 1})
+        super().__init__()
         self.n = n
 
-    def __missing__(self, parts: tuple[int, ...]) -> int:
-        n = self.n
-        if len(parts) > n:
-            return 0
-        held = len(parts) - 1
-        while parts[:held] not in self:
+    def row(self, parent: tuple[int, ...], top: int) -> list[int]:
+        """The row of parent through c = top at least, top <= parent[-1].
+        A missing parent's dimension comes from its longest prefix whose
+        row reaches the next part, or from the empty shape's 1; every row
+        on the way is extended just far enough and kept, in a loop, so a
+        shape longer than the recursion limit works."""
+        row = self.get(parent)
+        if row is not None:
+            return row if len(row) > top else self._extend(parent, row[0], top)
+        held = len(parent)
+        while held:
+            row = self.get(parent[: held - 1])
+            if row is not None and len(row) > parent[held - 1]:
+                break
             held -= 1
-        dim = self[parts[:held]]
-        for i in range(held, len(parts)):
-            c = parts[i]
-            num = comb(c + n - 1 - i, n - 1 - i)
-            den = 1
-            for a in range(i):
-                h = parts[a] + i - a
+        dim = row[parent[held - 1]] if held else 1
+        for i in range(held, len(parent)):
+            dim = self._extend(parent[:i], dim, parent[i])[parent[i]]
+        return self._extend(parent, dim, top)
+
+    def _extend(self, parent: tuple[int, ...], dim: int, top: int) -> list[int]:
+        """Carry the row of parent, whose dimension is dim, through c = top."""
+        row = self.setdefault(parent, [dim])
+        i = len(parent)
+        if i >= self.n:
+            row.extend([0] * (top + 1 - len(row)))
+            return row
+        shift = self.n - 1 - i
+        hooks = [part + i - a for a, part in enumerate(parent)]
+        for c in range(len(row), top + 1):
+            num = c + shift
+            den = c
+            for h in hooks:
                 num *= h - c
-                den *= h
-            dim, r = divmod(dim * num, den)
-            assert r == 0, f"Weyl row {i} of {parts}, n={n} did not divide evenly"
-            self[parts[: i + 1]] = dim
-        return dim
+                den *= h - c + 1
+            dim, r = divmod(row[-1] * num, den)
+            assert r == 0, f"Weyl row of {parent}, n={self.n} did not divide evenly at {c}"
+            row.append(dim)
+        return row
+
+    def dim(self, parts: tuple[int, ...]) -> int:
+        """The gl(n) dimension of a shape; 0, and nothing stored, for a
+        shape longer than n rows."""
+        if len(parts) > self.n:
+            return 0
+        if not parts:
+            return 1
+        return self.row(parts[:-1], parts[-1])[parts[-1]]
 
 
 @cache
-def weyl_table(n: int) -> dict[tuple[int, ...], int]:
-    """The process's one table of gl(n) dimensions, n >= 0, shared by every
-    caller: `weyl_table(n)[parts]` is the Weyl product of the shape."""
+def weyl_table(n: int) -> _WeylTable:
+    """The process's one table of gl(n) rows, n >= 0, shared by every
+    caller: `weyl_table(n).row(parent, top)[c]` is the Weyl product of
+    parent + (c,), and `weyl_table(n).dim(parts)` that of a shape."""
     return _WeylTable(n)
 
 
 def dim_gl_weyl(n: int, lam: Partition) -> int:
     """Dimension of the gl(n) irrep with highest weight lam, n >= 1, by the
-    Weyl product filled row by row into `weyl_table(n)`; a partition longer
+    Weyl product read from the rows of `weyl_table(n)`; a partition longer
     than n rows is not a gl(n) highest weight and gives 0."""
     if type(n) is not int or n <= 0:
         raise ValueError(f"n must be a positive int, got {n!r}")
     _check_partition(lam)
-    return weyl_table(n)[lam.parts]
+    return weyl_table(n).dim(lam.parts)
 
 
 def dim_gl_hook(n: int, lam: Partition) -> int:
@@ -155,9 +185,9 @@ def sdim_gl(m: int, n: int, lam: Partition) -> int:
         raise ValueError(f"m and n must be non-negative ints, got {m!r} and {n!r}")
     _check_partition(lam)
     if m >= n:
-        return weyl_table(m - n)[lam.parts]
+        return weyl_table(m - n).dim(lam.parts)
     sign = -1 if lam.weight % 2 else 1
-    return sign * weyl_table(n - m)[lam.conjugate().parts]
+    return sign * weyl_table(n - m).dim(lam.conjugate().parts)
 
 
 # -- Littlewood-Richardson coefficients -------------------------------------

@@ -263,7 +263,9 @@ class TruncatedSeries:
     # -- serialization ------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        return {"order": self.order, "coeffs": [str(c) for c in self.coeffs]}
+        # str of an int numerator is str of the Fraction it stands for
+        coeffs = self._nums if self._den == 1 else self.coeffs
+        return {"order": self.order, "coeffs": [str(c) for c in coeffs]}
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "TruncatedSeries":

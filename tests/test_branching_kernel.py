@@ -2,7 +2,7 @@
 
 Each family builder is recomputed here the direct way: the public enum_*
 stream of Partition objects, weighted by the hook-content formula
-dim_gl_hook (not the memoized Weyl product), with the sign and the
+dim_gl_hook (not the Weyl rows of the kernel's table), with the sign and the
 conjugate of the tall superdimension spelled out.  The oracle enumerates
 only the bounds that define each family and lets the hook-content product
 vanish on shapes with too many rows, so it does not reuse the builders'
@@ -20,7 +20,7 @@ from ospdim.characters import (
     sp_dim_t,
 )
 from ospdim.partitions import Partition, enum_B, enum_D, enum_partitions
-from ospdim.schur import dim_gl_hook
+from ospdim.schur import dim_gl_hook, weyl_table
 from ospdim.series import TruncatedSeries
 
 ORDERS = (0, 5, 16)
@@ -93,6 +93,20 @@ def test_ospD_tall_deep(p):
     m, n, order = TALL_DEEP
     want = series(((lam.weight, sdim(m, n, lam)) for lam in enum_B(order, p)), order)
     assert_same(ospD_sdim_t(m, n, p, order), want)
+
+
+def test_rows_filled_at_a_low_order_extend_to_a_high_one():
+    # the gl(6) rows of an order-5 sum are too short for order 30 and must
+    # be extended in place, to what a fresh table and the oracle give
+    m, n, p = 1, 7, 6
+    weyl_table.cache_clear()
+    ospB_sdim_t(m, n, p, 5)
+    reused = ospB_sdim_t(m, n, p, 30)
+    weyl_table.cache_clear()
+    fresh = ospB_sdim_t(m, n, p, 30)
+    want = series(((lam.weight, sdim(m, n, lam)) for lam in enum_partitions(30, p)), 30)
+    assert_same(reused, want)
+    assert_same(fresh, want)
 
 
 @pytest.mark.parametrize("order", ORDERS)

@@ -4,19 +4,24 @@ from math import comb
 
 import pytest
 
+import ospdim.characters as characters
 from ospdim.partitions import (
     FrobeniusForm,
     Partition,
+    doubled_batches,
     doubled_tuples,
     enum_B,
     enum_D,
     enum_offset_forms,
     enum_partitions,
     enum_rectangle,
+    evened_batches,
     evened_tuples,
+    partition_batches,
     partition_tuples,
     subpartitions,
 )
+from ospdim.series import TruncatedSeries
 
 
 def random_partition(rng, max_weight=40):
@@ -281,6 +286,100 @@ class TestEnumerators:
         assert bs == ds
 
 
+def reference_walk(max_weight, caps, step=1):
+    """The shape-by-shape walk that the sibling batches replaced, kept as the
+    order they must expand to: the root, then the children of each node as
+    it is expanded, largest first, and a child is expanded when it has a row
+    and weight left to grow."""
+    out = [((), 0)]
+    stack = [((), 0)] if caps and max_weight >= step else []
+    while stack:
+        parts, weight = stack.pop()
+        i = len(parts)
+        top = min(parts[-1] if i else caps[0], caps[i], max_weight - weight)
+        kids = [(parts + (c,), weight + c) for c in range(step, top + 1, step)]
+        out.extend(reversed(kids))
+        if i + 1 < len(caps):
+            stack.extend(kid for kid in kids if kid[1] + step <= max_weight)
+    return out
+
+
+def reference_doubled(max_weight, max_part, max_len):
+    half = max_weight // 2
+    cap = half if max_part is None else max_part
+    rows = half if max_len is None else min(max_len // 2, half)
+    return [(tuple(c for c in mu for _ in range(2)), 2 * w) for mu, w in reference_walk(half, (cap,) * rows)]
+
+
+def expand(batches):
+    """The (parts, weight) of every child of every batch; each batch must
+    have children, largest first."""
+    out = []
+    for parent, weight, cs in batches:
+        cs = list(cs)
+        assert cs and cs == sorted(cs, reverse=True), (parent, cs)
+        out.extend((parent + (c,) if c else parent, weight + c) for c in cs)
+    return out
+
+
+BOUNDS = (None, 0, 1, 2, 4)
+
+
+class TestBatchStreams:
+    @pytest.mark.parametrize("w", range(14))
+    def test_plain(self, w):
+        for a in BOUNDS:
+            for b in BOUNDS:
+                cap = w if a is None else a
+                rows = w if b is None else min(b, w)
+                want = reference_walk(w, (cap,) * rows)
+                assert expand(partition_batches(w, a, b)) == want, (w, a, b)
+                assert list(partition_tuples(w, a, b)) == want, (w, a, b)
+
+    @pytest.mark.parametrize("w", range(20))
+    def test_evened(self, w):
+        for b in BOUNDS:
+            half = w // 2
+            rows = half if b is None else min(b, half)
+            want = reference_walk(2 * half, (2 * half,) * rows, 2)
+            assert expand(evened_batches(w, b)) == want, (w, b)
+            assert list(evened_tuples(w, b)) == want, (w, b)
+
+    @pytest.mark.parametrize("w", range(20))
+    def test_doubled(self, w):
+        for a in BOUNDS:
+            for b in BOUNDS:
+                want = reference_doubled(w, a, b)
+                batches = list(doubled_batches(w, a, b))
+                assert all(len(cs) == 1 for _, _, cs in batches)
+                assert expand(batches) == want, (w, a, b)
+                assert list(doubled_tuples(w, a, b)) == want, (w, a, b)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    @pytest.mark.parametrize("p", [0, 1, 2, 4])
+    def test_head(self, monkeypatch, k, p):
+        # the so(2k) chirality that sums (p, lambda) over the doubled shapes
+        # lambda of at most k - 1 rows, graded by |lambda| alone
+        sums = []
+
+        def capture(order, rank, batches):
+            sums.append(list(batches))
+            return TruncatedSeries.zero(order)
+
+        monkeypatch.setattr(characters, "_branching_sum", capture)
+        for order in (0, 5, 14):
+            sums.clear()
+            characters.so_even_dim_t(k, p, characters._CHIRALITY[(k + 1) % 2], order)
+            want = [((p,) + parts, w) for parts, w in reference_doubled(order, p, k - 1)]
+            assert expand(sums[0]) == want, (k, p, order)
+
+    def test_subpartitions(self):
+        for lam in ((), (1,), (3, 1), (5, 4, 4, 2), (6, 3, 1, 1)):
+            for max_len in (None, 0, 1, 2, 3):
+                want = [parts for parts, _ in reference_walk(sum(lam), lam[:max_len])]
+                assert [mu.parts for mu in subpartitions(Partition(lam), max_len)] == want
+
+
 class TestOffsetForms:
     def test_count_is_power_of_two(self):
         for n in range(9):
@@ -367,6 +466,9 @@ class TestNegativeBounds:
             lambda: partition_tuples(3, None, -1),
             lambda: doubled_tuples(4, None, -1),
             lambda: evened_tuples(4, -1),
+            lambda: partition_batches(3, -1),
+            lambda: doubled_batches(4, None, -1),
+            lambda: evened_batches(-2),
         ]
         for call in calls:
             # raised on the call itself, before the stream is consumed
@@ -383,6 +485,9 @@ class TestNegativeBounds:
             lambda bad: doubled_tuples(4, None, bad),
             lambda bad: evened_tuples(bad),
             lambda bad: evened_tuples(4, bad),
+            lambda bad: partition_batches(3, None, bad),
+            lambda bad: doubled_batches(bad),
+            lambda bad: evened_batches(4, bad),
             lambda bad: enum_partitions(bad),
             lambda bad: enum_B(4, None, bad),
             lambda bad: enum_D(bad),

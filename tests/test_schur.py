@@ -15,6 +15,7 @@ from ospdim.schur import (
     sdim_gl,
     super_schur_eval,
     weyl_table,
+    _WeylTable,
 )
 
 
@@ -406,6 +407,16 @@ def test_tuple_arguments_are_refused(call):
         call()
 
 
+def gl_dim(n, lam):
+    """The gl(n) dimension by hook-content and by Frobenius coordinates,
+    which must agree; gl(0) has only the empty shape, of dimension 1."""
+    if n == 0:
+        return 1 if lam == () else 0
+    hook = dim_gl_hook(n, lam)
+    assert hook == dim_gl_frobenius(n, lam.frobenius()), (n, lam)
+    return hook
+
+
 class TestWeylTable:
     def fresh_table(self, n):
         weyl_table.cache_clear()
@@ -414,17 +425,52 @@ class TestWeylTable:
     @pytest.mark.parametrize("n", range(6))
     def test_fill_order_does_not_matter(self, n):
         # longest first asks for shapes before their parents; weight-ascending
-        # order finds every parent in the table already
+        # order finds every parent's row in the table already
         shapes = list(enum_partitions(10))
         longest_first = self.fresh_table(n)
-        got = {lam: longest_first[lam.parts] for lam in sorted(shapes, key=len, reverse=True)}
+        got = {lam: longest_first.dim(lam.parts) for lam in sorted(shapes, key=len, reverse=True)}
         parent_first = self.fresh_table(n)
         for lam in shapes:
-            assert parent_first[lam.parts] == got[lam], (n, lam)
+            assert parent_first.dim(lam.parts) == got[lam], (n, lam)
             if n:
                 assert got[lam] == dim_gl_hook(n, lam), (n, lam)
             else:
                 assert got[lam] == (1 if lam == () else 0), lam
+
+    def test_rows_match_hook_and_frobenius(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        shapes = st.sampled_from(list(enum_partitions(12)))
+
+        @hypothesis.settings(max_examples=80, deadline=None)
+        @hypothesis.given(
+            st.integers(0, 8),
+            st.lists(shapes, min_size=1, max_size=10),
+            st.lists(st.integers(0, 12), max_size=4),
+        )
+        def check(n, asks, steps):
+            # shapes asked in a drawn order, some longer than n rows
+            asked = _WeylTable(n)
+            for lam in asks:
+                assert asked.dim(lam.parts) == gl_dim(n, lam), (n, lam)
+            # every row the asks left behind, entry by entry, and filled at
+            # once on a fresh table
+            at_once = _WeylTable(n)
+            for parent, row in asked.items():
+                for c, dim in enumerate(row):
+                    assert dim == gl_dim(n, Partition(parent + (c,))), (n, parent, c)
+                assert at_once.row(parent, len(row) - 1)[: len(row)] == row, (n, parent)
+            # one row, any length of parent, extended in several steps
+            parent = asks[0].parts
+            cap = parent[-1] if parent else 12
+            stepped = _WeylTable(n)
+            for top in sorted(min(s, cap) for s in steps):
+                assert len(stepped.row(parent, top)) > top
+            row = stepped.row(parent, cap)
+            assert row == _WeylTable(n).row(parent, cap), (n, parent)
+            assert row == [gl_dim(n, Partition(parent + (c,))) for c in range(cap + 1)]
+
+        check()
 
     def test_long_shapes_never_recurse(self):
         n = sys.getrecursionlimit() + 100

@@ -297,6 +297,17 @@ class TestSerialization:
         d = polynomial([1, Fraction(1, 3)], 2).to_json_dict()
         assert d == {"order": 2, "coeffs": ["1", "1/3", "0"]}
 
+    def test_json_is_the_fraction_text_of_each_coefficient(self):
+        # an integral series writes its numerators without building Fractions
+        rng = random.Random(7)
+        cases = [random_series(rng, 9) for _ in range(40)]
+        cases += [TruncatedSeries([3, -12, 0, 10**30, -1], 4), TruncatedSeries.zero(0)]
+        assert any(s.coeffs and all(c.denominator == 1 for c in s.coeffs) for s in cases)
+        assert any(c.denominator != 1 for s in cases for c in s.coeffs)
+        for s in cases:
+            want = {"order": s.order, "coeffs": [str(c) for c in s.coeffs]}
+            assert json.dumps(s.to_json_dict()) == json.dumps(want)
+
     def test_from_json_rejects_malformed(self):
         for bad in (
             {"order": 5, "coeffs": ["1"]},
