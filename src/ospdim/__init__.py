@@ -24,7 +24,7 @@ from .schur import (
     sdim_gl,
     super_schur_eval,
 )
-from .series import DEFAULT_ORDER, TruncatedSeries, geometric, polynomial
+from .series import DEFAULT_ORDER, TruncatedSeries, polynomial
 from .characters import (
     CASES,
     CorrespondenceReport,

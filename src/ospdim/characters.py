@@ -270,6 +270,8 @@ def _check_params(kind: str, owner: str, rules: dict, values: dict) -> None:
                 need = "a partition"
             elif isinstance(rule, tuple):
                 need = " or ".join(rule)
+            elif rule == -inf:
+                need = "an int"
             else:
                 need = f">= {rule}" if value is None or type(value) is int else f"an int >= {rule}"
             got = "" if value is None else f", got {value}"

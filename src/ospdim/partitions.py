@@ -7,24 +7,24 @@ A part or Frobenius coordinate must be an int: a float, string or bool raises
 ValueError rather than being rounded or cast.
 
 The non-recursive depth-first walker `_preorder` walks the tree in which a
-partition's children append one part no larger than its last.  Its unit is
-a sibling batch `(parent, weight, cs)`: the children parent + (c,) for c in
-the range cs, largest first, each of weight weight + c; a last row c = 0 is
-no row, so the root batch ((), 0, (0,)) stands for the empty shape.  A
-node's batch comes as the walk expands it, so every shape comes after its
-parent parts[:-1] and within a fixed weight the shapes are
-lexicographically descending, but weights interleave and the raw order is
-otherwise not promised.  `partition_batches` streams these batches, as does
-`evened_batches`, the same walk taken in steps of two for the even-part
-family; `doubled_batches` gives each shape of the even-multiplicity family,
-the doubled image of a half-weight walk, as a one-child batch whose parent
-is the shape without its last row.  The two families are each other's
+partition's children append one part no larger than its last.  Sibling
+batches are the only stream it gives: a batch `(parent, weight, cs)` is
+the children parent + (c,) for c in the range cs, largest first, each of
+weight weight + c; a last row c = 0 is no row, so the root batch
+((), 0, (0,)) stands for the empty shape.  A node's batch comes as the
+walk expands it, so every shape comes after its parent parts[:-1] and
+within a fixed weight the shapes are lexicographically descending, but
+weights interleave and the raw order is otherwise not promised.
+`partition_batches` streams these batches, as does `evened_batches`, the
+same walk taken in steps of two for the even-part family;
+`doubled_batches` gives each shape of the even-multiplicity family, the
+doubled image of a half-weight walk, as a one-child batch whose parent is
+the shape without its last row.  The two families are each other's
 conjugates, as are the shapes with lambda_1 <= q and those with at most q
 rows, so a tall sum streams the conjugate family directly and never
-conjugates a shape.  `partition_tuples`, `evened_tuples` and
-`doubled_tuples` expand the batches into raw `(parts, weight)` tuples.
-Only the public `enum_*` functions promise weight-ascending order: they sort
-that stream stably by weight and wrap each tuple in a `Partition`.
+conjugates a shape.  Only the public `enum_*` functions promise
+weight-ascending order: they expand the batches, sort the shapes stably
+by weight and wrap each in a `Partition`.
 Unbounded constraints are passed as None, never as a magic integer; a bound
 that is negative or not an int raises ValueError on the call, not on first
 use.
@@ -203,8 +203,6 @@ class FrobeniusForm:
         return Partition(rows)
 
 
-Node = tuple[tuple[int, ...], int]
-Stream = Iterator[Node]
 # a sibling batch (parent, weight, cs), as the module docstring describes
 Batch = tuple[tuple[int, ...], int, Sequence[int]]
 Batches = Iterator[Batch]
@@ -222,7 +220,7 @@ def _check_bounds(
             raise ValueError(f"{name} must be an int >= 0, got {bound!r}")
 
 
-def _shapes(batches: Iterable[Batch]) -> Stream:
+def _shapes(batches: Iterable[Batch]) -> Iterator[tuple[tuple[int, ...], int]]:
     """The (parts, weight) of every child of every batch, in batch order."""
     for parent, weight, cs in batches:
         for c in cs:
@@ -232,21 +230,13 @@ def _shapes(batches: Iterable[Batch]) -> Stream:
 def partition_batches(
     max_weight: int, max_part: int | None = None, max_len: int | None = None
 ) -> Batches:
-    """The shapes of `partition_tuples`, in the same order, as sibling
-    batches."""
+    """The shapes with weight <= max_weight, parts[0] <= max_part and
+    len(parts) <= max_len as sibling batches: each shape after its parent
+    parts[:-1] and, within one weight, lexicographically descending."""
     _check_bounds(max_part=max_part, max_len=max_len, max_weight=max_weight)
     part_cap = max_weight if max_part is None else max_part
     len_cap = max_weight if max_len is None else min(max_len, max_weight)
     return _preorder(max_weight, (part_cap,) * len_cap)
-
-
-def partition_tuples(
-    max_weight: int, max_part: int | None = None, max_len: int | None = None
-) -> Stream:
-    """All (parts, weight) with weight <= max_weight, parts[0] <= max_part
-    and len(parts) <= max_len, each after its parent parts[:-1] and, within
-    one weight, lexicographically descending."""
-    return _shapes(partition_batches(max_weight, max_part, max_len))
 
 
 def _preorder(max_weight: int, caps: tuple[int, ...], step: int = 1) -> Batches:
@@ -283,9 +273,10 @@ def _preorder(max_weight: int, caps: tuple[int, ...], step: int = 1) -> Batches:
 def doubled_batches(
     max_weight: int, max_part: int | None = None, max_len: int | None = None
 ) -> Batches:
-    """The shapes of `doubled_tuples`, in the same order, one per batch:
-    (c1, c1, ..., cj) with the one child cj at weight 2(c1 + ... + cj) - cj,
-    and ROOT for the empty shape."""
+    """The even-multiplicity family (c1, c1, c2, c2, ...) for every
+    (c1, c2, ...) of half the weight and half the length bound, one shape
+    per batch: (c1, c1, ..., cj) with the one child cj at weight
+    2(c1 + ... + cj) - cj, and ROOT for the empty shape."""
     _check_bounds(max_part=max_part, max_len=max_len, max_weight=max_weight)
     half_len = None if max_len is None else max_len // 2
     return _doubled(partition_batches(max_weight // 2, max_part, half_len))
@@ -298,31 +289,17 @@ def _doubled(half: Batches) -> Batches:
             yield (twice + (c,), 2 * weight + c, (c,)) if c else ROOT
 
 
-def doubled_tuples(
-    max_weight: int, max_part: int | None = None, max_len: int | None = None
-) -> Stream:
-    """The even-multiplicity family: (c1, c1, c2, c2, ...) for every
-    (c1, c2, ...) of half the weight and half the length bound."""
-    return _shapes(doubled_batches(max_weight, max_part, max_len))
-
-
 def evened_batches(max_weight: int, max_len: int | None = None) -> Batches:
-    """The shapes of `evened_tuples`, in the same order, as sibling
-    batches."""
+    """The even-part family (2 c1, 2 c2, ...) for every (c1, c2, ...) of
+    half the weight, as sibling batches of a walk in parts of step two."""
     _check_bounds(max_len=max_len, max_weight=max_weight)
     half = max_weight // 2
     len_cap = half if max_len is None else min(max_len, half)
     return _preorder(2 * half, (2 * half,) * len_cap, 2)
 
 
-def evened_tuples(max_weight: int, max_len: int | None = None) -> Stream:
-    """The even-part family: (2 c1, 2 c2, ...) for every (c1, c2, ...) of
-    half the weight, walked directly in parts that step by two."""
-    return _shapes(evened_batches(max_weight, max_len))
-
-
-def _by_weight(stream: Stream) -> Iterator[Partition]:
-    for parts, _ in sorted(stream, key=itemgetter(1)):
+def _by_weight(batches: Batches) -> Iterator[Partition]:
+    for parts, _ in sorted(_shapes(batches), key=itemgetter(1)):
         yield Partition(parts)
 
 
@@ -331,7 +308,7 @@ def enum_partitions(
 ) -> Iterator[Partition]:
     """All partitions with |lambda| <= max_weight, lambda_1 <= max_part and
     length <= max_len, weight-ascending then lex-descending."""
-    return _by_weight(partition_tuples(max_weight, max_part, max_len))
+    return _by_weight(partition_batches(max_weight, max_part, max_len))
 
 
 def enum_rectangle(max_part: int, max_len: int) -> Iterator[Partition]:
@@ -351,13 +328,13 @@ def enum_B(
     """Partitions in which every part value occurs with even multiplicity:
     the vertical doublings (c_1, c_1, c_2, c_2, ...) of arbitrary partitions
     (c_1, c_2, ...), so all weights are even."""
-    return _by_weight(doubled_tuples(max_weight, max_part, max_len))
+    return _by_weight(doubled_batches(max_weight, max_part, max_len))
 
 
 def enum_D(max_weight: int, max_len: int | None = None) -> Iterator[Partition]:
     """Partitions whose parts are all even: the conjugates of the even-
     multiplicity family."""
-    return _by_weight(evened_tuples(max_weight, max_len))
+    return _by_weight(evened_batches(max_weight, max_len))
 
 
 def enum_offset_forms(n: int, p: int) -> Iterator[tuple[FrobeniusForm, int]]:

@@ -269,10 +269,15 @@ class TruncatedSeries:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "TruncatedSeries":
-        """The series of a to_json_dict payload.  The coefficients must come
-        as a list, and string ones are parsed as Fractions; the order and every
-        other coefficient go to the constructor as they are, which refuses
-        what it does not take."""
+        """The series of a to_json_dict payload, a mapping with order and
+        coeffs.  The coefficients must come as a list, and string ones are
+        parsed as Fractions; the order and every other coefficient go to the
+        constructor as they are, which refuses what it does not take."""
+        if not isinstance(data, Mapping):
+            raise ValueError(f"a series payload must be a mapping, got {data!r}")
+        missing = [key for key in ("order", "coeffs") if key not in data]
+        if missing:
+            raise ValueError(f"a series payload needs {' and '.join(missing)}, got {data!r}")
         raw = data["coeffs"]
         if not isinstance(raw, list):
             raise ValueError(f"coeffs must be a list, got {raw!r}")
@@ -292,8 +297,3 @@ class TruncatedSeries:
 def polynomial(coeffs: Sequence[Scalar], order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """A polynomial viewed as a series of the given order."""
     return TruncatedSeries(coeffs, order)
-
-
-def geometric(order: int = DEFAULT_ORDER) -> TruncatedSeries:
-    """1/(1-t) to the given order."""
-    return TruncatedSeries([1] * (order + 1), order)

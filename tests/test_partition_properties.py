@@ -12,14 +12,15 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from ospdim.partitions import (  # noqa: E402
     FrobeniusForm,
     Partition,
-    doubled_tuples,
+    _shapes,
+    doubled_batches,
     enum_B,
     enum_D,
     enum_offset_forms,
     enum_partitions,
     enum_rectangle,
-    evened_tuples,
-    partition_tuples,
+    evened_batches,
+    partition_batches,
 )
 
 CHECKS = settings(max_examples=60, deadline=None)
@@ -101,7 +102,7 @@ def test_conjugation_maps_B_onto_D(w):
 @CHECKS
 @given(st.integers(0, 12), bounds, bounds)
 def test_raw_enumerator_matches_enum_partitions(w, a, b):
-    raw = list(partition_tuples(w, a, b))
+    raw = list(_shapes(partition_batches(w, a, b)))
     parts = [t for t, _ in raw]
     assert len(parts) == len(set(parts))
     assert all(weight == sum(t) for t, weight in raw)
@@ -112,10 +113,10 @@ def test_raw_enumerator_matches_enum_partitions(w, a, b):
 @CHECKS
 @given(st.integers(0, 14), bounds, bounds)
 def test_doubled_and_evened_images_match_B_and_D(w, a, b):
-    doubled = [t for t, _ in doubled_tuples(w, a, b)]
+    doubled = [t for t, _ in _shapes(doubled_batches(w, a, b))]
     assert len(doubled) == len(set(doubled))
     assert set(doubled) == {lam.parts for lam in enum_B(w, a, b)}
-    evened = [t for t, _ in evened_tuples(w, b)]
+    evened = [t for t, _ in _shapes(evened_batches(w, b))]
     assert len(evened) == len(set(evened))
     assert set(evened) == {lam.parts for lam in enum_D(w, b)}
 
@@ -133,7 +134,7 @@ def check_once_after_parent(stream):
 @CHECKS
 @given(st.integers(0, 14), bounds, bounds)
 def test_walks_yield_each_shape_once_after_its_parent(w, a, b):
-    check_once_after_parent(partition_tuples(w, a, b))
-    check_once_after_parent(evened_tuples(w, b))
-    doubled = [t for t, _ in doubled_tuples(w, a, b)]
+    check_once_after_parent(_shapes(partition_batches(w, a, b)))
+    check_once_after_parent(_shapes(evened_batches(w, b)))
+    doubled = [t for t, _ in _shapes(doubled_batches(w, a, b))]
     assert len(doubled) == len(set(doubled))

@@ -9,16 +9,13 @@ from ospdim.partitions import (
     FrobeniusForm,
     Partition,
     doubled_batches,
-    doubled_tuples,
     enum_B,
     enum_D,
     enum_offset_forms,
     enum_partitions,
     enum_rectangle,
     evened_batches,
-    evened_tuples,
     partition_batches,
-    partition_tuples,
     subpartitions,
 )
 from ospdim.series import TruncatedSeries
@@ -334,7 +331,6 @@ class TestBatchStreams:
                 rows = w if b is None else min(b, w)
                 want = reference_walk(w, (cap,) * rows)
                 assert expand(partition_batches(w, a, b)) == want, (w, a, b)
-                assert list(partition_tuples(w, a, b)) == want, (w, a, b)
 
     @pytest.mark.parametrize("w", range(20))
     def test_evened(self, w):
@@ -343,7 +339,6 @@ class TestBatchStreams:
             rows = half if b is None else min(b, half)
             want = reference_walk(2 * half, (2 * half,) * rows, 2)
             assert expand(evened_batches(w, b)) == want, (w, b)
-            assert list(evened_tuples(w, b)) == want, (w, b)
 
     @pytest.mark.parametrize("w", range(20))
     def test_doubled(self, w):
@@ -353,7 +348,6 @@ class TestBatchStreams:
                 batches = list(doubled_batches(w, a, b))
                 assert all(len(cs) == 1 for _, _, cs in batches)
                 assert expand(batches) == want, (w, a, b)
-                assert list(doubled_tuples(w, a, b)) == want, (w, a, b)
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     @pytest.mark.parametrize("p", [0, 1, 2, 4])
@@ -461,14 +455,14 @@ class TestNegativeBounds:
             lambda: enum_B(4, None, -1),
             lambda: enum_D(-2),
             lambda: enum_D(4, -1),
-            lambda: partition_tuples(-1),
-            lambda: partition_tuples(3, -1),
-            lambda: partition_tuples(3, None, -1),
-            lambda: doubled_tuples(4, None, -1),
-            lambda: evened_tuples(4, -1),
+            lambda: partition_batches(-1),
             lambda: partition_batches(3, -1),
+            lambda: partition_batches(3, None, -1),
+            lambda: doubled_batches(-2),
+            lambda: doubled_batches(4, -1),
             lambda: doubled_batches(4, None, -1),
             lambda: evened_batches(-2),
+            lambda: evened_batches(4, -1),
         ]
         for call in calls:
             # raised on the call itself, before the stream is consumed
@@ -477,16 +471,13 @@ class TestNegativeBounds:
 
     def test_every_enumerator_rejects_a_bound_that_is_not_an_int(self):
         calls = [
-            lambda bad: partition_tuples(bad),
-            lambda bad: partition_tuples(3, bad),
-            lambda bad: partition_tuples(3, None, bad),
-            lambda bad: doubled_tuples(bad),
-            lambda bad: doubled_tuples(4, bad),
-            lambda bad: doubled_tuples(4, None, bad),
-            lambda bad: evened_tuples(bad),
-            lambda bad: evened_tuples(4, bad),
+            lambda bad: partition_batches(bad),
+            lambda bad: partition_batches(3, bad),
             lambda bad: partition_batches(3, None, bad),
             lambda bad: doubled_batches(bad),
+            lambda bad: doubled_batches(4, bad),
+            lambda bad: doubled_batches(4, None, bad),
+            lambda bad: evened_batches(bad),
             lambda bad: evened_batches(4, bad),
             lambda bad: enum_partitions(bad),
             lambda bad: enum_B(4, None, bad),
@@ -507,4 +498,4 @@ class TestNegativeBounds:
         assert list(enum_partitions(3, 0)) == [Partition()]
         assert list(enum_partitions(3, None, 0)) == [Partition()]
         assert list(enum_partitions(0)) == [Partition()]
-        assert list(partition_tuples(0)) == [((), 0)]
+        assert list(partition_batches(0)) == [((), 0, (0,))]

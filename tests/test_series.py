@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from ospdim.series import DEFAULT_ORDER, TruncatedSeries, geometric, polynomial
+from ospdim.series import DEFAULT_ORDER, TruncatedSeries, polynomial
 
 
 def random_series(rng, order):
@@ -104,7 +104,7 @@ class TestArithmetic:
     def test_cauchy_product(self):
         sq = polynomial([1, 1], 6) ** 2
         assert sq.coeffs[:3] == (1, 2, 1)
-        geo = geometric(8)
+        geo = TruncatedSeries([1] * 9, 8)
         assert (polynomial([1, -1], 8) * geo) == TruncatedSeries.one(8)
 
     def test_mixed_order_truncates_to_smaller(self):
@@ -192,7 +192,7 @@ class TestSubstitutionAndEvaluation:
         assert value == 8 and is_poly
 
     def test_eval_at_one_full_window(self):
-        value, is_poly = geometric(6).eval_at_one()
+        value, is_poly = TruncatedSeries([1] * 7, 6).eval_at_one()
         assert value == 7 and not is_poly
 
     def test_eval_at_one_zero_series(self):
@@ -319,6 +319,16 @@ class TestSerialization:
             {"order": 2, "coeffs": ["1/0", "0", "0"]},
         ):
             with pytest.raises(ValueError):
+                TruncatedSeries.from_json_dict(bad)
+        # a payload that is not a mapping, or lacks a key, is named as such
+        for bad, what in (
+            ([], "must be a mapping"),
+            (None, "must be a mapping"),
+            ({}, "needs order and coeffs"),
+            ({"coeffs": ["1"]}, "needs order,"),
+            ({"order": 0}, "needs coeffs,"),
+        ):
+            with pytest.raises(ValueError, match=f"a series payload {what}"):
                 TruncatedSeries.from_json_dict(bad)
 
     def test_from_json_refuses_what_the_constructor_refuses(self):
