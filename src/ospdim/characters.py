@@ -8,11 +8,18 @@ lowest-weight prefactor is dropped and the constant term is the dimension of
 the bottom graded piece.  Every branching sum is one plain gl(k) kernel,
 `_branching_sum`, over the sibling batches of a partition family: it reads
 one row of gl(k) dimensions per batch.  The even-multiplicity family and
-so(2k)'s shapes under a head row come as one-child batches.  Builders
-return the +t grading; identities that need t -> -t apply substitute_neg_t
-explicitly at the comparison site.  The one use inside a builder is a tall
-(m < n) osp sum: a gl(n-m) sum over the conjugate shapes, taken at -t for
-the superdimension's sign (-1)^|lambda|.
+so(2k)'s shapes under a head row come as one-child batches.  The kernel
+calls the family's stream itself and keeps each sum, as exact ints, in one
+process-wide table keyed by (k, stream, bounds).  A request at or below the
+held order reads a prefix; a higher one walks again and must reproduce the
+held coefficients.  So builders that stream one family at one gl(k) read
+one sum: both sides of ospB-vs-soOdd, ospD-vs-soEven and ospD-vs-sp, which
+compared one sum with itself before the table too (ROADMAP item 1).  The
+closed routes never read the table.  Builders return the +t grading;
+identities that need t -> -t apply substitute_neg_t explicitly at the
+comparison site.  The one use inside a builder is a tall (m < n) osp sum:
+a gl(n-m) sum over the conjugate shapes, taken at -t for the
+superdimension's sign (-1)^|lambda|.
 
 Two tables name everything the package can build and check.  FAMILIES has
 one row per family: the rule of each parameter, its algebra and Dynkin-label
@@ -33,6 +40,7 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
+from functools import cached_property
 from math import inf
 from typing import Callable, NamedTuple, Sequence
 
@@ -52,20 +60,36 @@ from .schur import dim_gl_frobenius, super_schur_eval, weyl_table
 from .series import DEFAULT_ORDER, TruncatedSeries, polynomial
 
 
-def _branching_sum(order: int, k: int, batches: Batches) -> TruncatedSeries:
-    """Add, for each (parent, weight, cs) batch of shapes bounded by weight
-    <= order, the gl(k) dimension of parent + (c,) at t^(weight + c) for
-    every c in cs: one row of `weyl_table(k)` per batch."""
-    coeffs = [0] * (order + 1)
-    rows = weyl_table(k)
-    get, fill = rows.get, rows.row
-    for parent, weight, cs in batches:
-        row = get(parent)
-        if row is None or len(row) <= cs[0]:
-            row = fill(parent, cs[0])
-        for c in cs:
-            coeffs[weight + c] += row[c]
-    return TruncatedSeries(coeffs, order)
+# (k, stream, bounds) -> the gl(k) sum's coefficients through the highest
+# order asked for so far; exact ints only
+_SUMS: dict[tuple, list[int]] = {}
+
+
+def _branching_sum(order: int, k: int, stream: Callable[..., Batches], *bounds) -> TruncatedSeries:
+    """Add, for each (parent, weight, cs) batch of stream(order, *bounds),
+    the gl(k) dimension of parent + (c,) at t^(weight + c) for every c in
+    cs: one row of `weyl_table(k)` per batch.
+
+    The coefficient of t^w does not depend on the order, so the sum is kept
+    in `_SUMS` under (k, stream, bounds) and a request at or below the held
+    order reads a prefix.  A higher one walks again and must reproduce the
+    held coefficients before it replaces them."""
+    key = (k, stream, bounds)
+    held = _SUMS.get(key)
+    if held is None or len(held) <= order:
+        coeffs = [0] * (order + 1)
+        rows = weyl_table(k)
+        get, fill = rows.get, rows.row
+        for parent, weight, cs in stream(order, *bounds):
+            row = get(parent)
+            if row is None or len(row) <= cs[0]:
+                row = fill(parent, cs[0])
+            for c in cs:
+                coeffs[weight + c] += row[c]
+        if held is not None:
+            assert coeffs[: len(held)] == held, f"gl({k}) sum of {stream.__name__}{bounds} changed"
+        _SUMS[key] = held = coeffs
+    return TruncatedSeries(held, order)
 
 
 def osp1_numerator(n: int, p: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
@@ -99,7 +123,7 @@ def osp1_dim_t(
     """
     _check_family("osp1", n=n, p=p, order=order, route=route)
     if route == "sum":
-        return _branching_sum(order, n, partition_batches(order, None, min(n, p)))
+        return _branching_sum(order, n, partition_batches, None, min(n, p))
     den = polynomial([1, -1], order) ** n * polynomial([1, 0, -1], order) ** (n * (n - 1) // 2)
     return osp1_numerator(n, p, order) / den
 
@@ -118,8 +142,8 @@ def ospB_sdim_t(m: int, n: int, p: int, order: int = DEFAULT_ORDER) -> Truncated
     """
     _check_family("ospB", m=m, n=n, p=p, order=order)
     if m >= n:
-        return _branching_sum(order, m - n, partition_batches(order, p, m - n))
-    return _branching_sum(order, n - m, partition_batches(order, None, min(p, n - m))).substitute_neg_t()
+        return _branching_sum(order, m - n, partition_batches, p, m - n)
+    return _branching_sum(order, n - m, partition_batches, None, min(p, n - m)).substitute_neg_t()
 
 
 def so_odd_dim_t(k: int, p: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
@@ -127,7 +151,7 @@ def so_odd_dim_t(k: int, p: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     level: a polynomial of degree k*p summing gl(k) dimensions over
     partitions inside the k x p rectangle."""
     _check_family("soOdd", k=k, p=p, order=order)
-    return _branching_sum(order, k, partition_batches(order, p, k))
+    return _branching_sum(order, k, partition_batches, p, k)
 
 
 def ospD_sdim_t(m: int, n: int, p: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
@@ -138,8 +162,17 @@ def ospD_sdim_t(m: int, n: int, p: int, order: int = DEFAULT_ORDER) -> Truncated
     most min(p, n-m) rows, and t -> -t puts in the sign, as for ospB."""
     _check_family("ospD", m=m, n=n, p=p, order=order)
     if m >= n:
-        return _branching_sum(order, m - n, doubled_batches(order, p, m - n))
-    return _branching_sum(order, n - m, evened_batches(order, min(p, n - m))).substitute_neg_t()
+        return _branching_sum(order, m - n, doubled_batches, p, m - n)
+    return _branching_sum(order, n - m, evened_batches, min(p, n - m)).substitute_neg_t()
+
+
+def _headed_batches(max_weight: int, head: int, max_len: int) -> Batches:
+    """The doubled batches of `doubled_batches(max_weight, head, max_len)`
+    under the head row (head): the row goes above each parent and leaves
+    the grading alone, so the root batch ((), 0, (0,)) becomes (head)
+    itself at t^0."""
+    for parent, weight, cs in doubled_batches(max_weight, head, max_len):
+        yield (head,) + parent, weight, cs
 
 
 def so_even_dim_t(
@@ -158,11 +191,8 @@ def so_even_dim_t(
     _check_family("soEven", k=k, p=p, chirality=chirality, order=order)
     # at most k rows, or k - 1 under the head row; doubling rounds both down
     if chirality == _CHIRALITY[k % 2]:
-        return _branching_sum(order, k, doubled_batches(order, p, k))
-    # the head row goes above each parent and leaves the grading alone; the
-    # root batch ((), 0, (0,)) becomes (p) itself at t^0
-    batches = (((p,) + parent, weight, cs) for parent, weight, cs in doubled_batches(order, p, k - 1))
-    return _branching_sum(order, k, batches)
+        return _branching_sum(order, k, doubled_batches, p, k)
+    return _branching_sum(order, k, _headed_batches, p, k - 1)
 
 
 def sp_dim_t(k: int, p: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
@@ -171,7 +201,7 @@ def sp_dim_t(k: int, p: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     with even parts and at most min(p, k) rows.  Only even powers of t
     occur."""
     _check_family("sp", k=k, p=p, order=order)
-    return _branching_sum(order, k, evened_batches(order, min(p, k)))
+    return _branching_sum(order, k, evened_batches, min(p, k))
 
 
 def spinor_tdim(m: int, n: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
@@ -398,15 +428,21 @@ class Side:
 
 @dataclass(frozen=True)
 class CorrespondenceReport:
-    """Both sides of one case; the verdict is derived from their series."""
+    """Both sides of one case; the verdict is derived from their series,
+    which are compared once per report."""
 
     case: str
     left: Side
     right: Side
 
-    @property
+    @cached_property
     def first_divergence(self) -> int | None:
         return self.left.series.first_divergence(self.right.series)
+
+    @property
+    def compared_through(self) -> int:
+        """The highest power compared: the smaller of the two orders."""
+        return min(self.left.series.order, self.right.series.order)
 
     @property
     def match(self) -> bool:

@@ -233,6 +233,8 @@ class TruncatedSeries:
     def first_divergence(self, other: "TruncatedSeries") -> int | None:
         """Smallest power at which the two series differ, None if they agree
         through the common order."""
+        if not isinstance(other, TruncatedSeries):
+            raise TypeError(f"first_divergence needs a TruncatedSeries, got {type(other).__name__}")
         a, b, _ = self._aligned(other)
         if a != b:
             for k, (x, y) in enumerate(zip(a, b)):

@@ -6,11 +6,14 @@ dim_gl_hook (not the Weyl rows of the kernel's table), with the sign and the
 conjugate of the tall superdimension spelled out.  The oracle enumerates
 only the bounds that define each family and lets the hook-content product
 vanish on shapes with too many rows, so it does not reuse the builders'
-length bounds either.
+length bounds either.  The builders keep each graded sum for the life of
+the process, so the tests of that table clear it, with the gl(k) rows,
+wherever a fresh walk is meant.
 """
 
 import pytest
 
+from ospdim import characters
 from ospdim.characters import (
     osp1_dim_t,
     ospB_sdim_t,
@@ -19,7 +22,7 @@ from ospdim.characters import (
     so_odd_dim_t,
     sp_dim_t,
 )
-from ospdim.partitions import Partition, enum_B, enum_D, enum_partitions
+from ospdim.partitions import Partition, enum_B, enum_D, enum_partitions, partition_batches
 from ospdim.schur import dim_gl_hook, weyl_table
 from ospdim.series import TruncatedSeries
 
@@ -55,6 +58,48 @@ def assert_same(got, want):
     assert got.coeffs == want.coeffs
 
 
+# the oracle of each builder, called with the builder's arguments
+
+
+def want_ospB(m, n, p, order):
+    return series(((lam.weight, sdim(m, n, lam)) for lam in enum_partitions(order, p)), order)
+
+
+def want_ospD(m, n, p, order):
+    return series(((lam.weight, sdim(m, n, lam)) for lam in enum_B(order, p)), order)
+
+
+def want_osp1_sum(n, p, order):
+    return series(((lam.weight, hook(n, lam)) for lam in enum_partitions(order, None, p)), order)
+
+
+def want_so_odd(k, p, order):
+    return series(((lam.weight, hook(k, lam)) for lam in enum_partitions(order, p)), order)
+
+
+def want_so_even(k, p, chirality, order):
+    # for even k the "last" chirality sums plain shapes, for odd k the other
+    if (chirality == "last") == (k % 2 == 0):
+        pairs = ((lam.weight, hook(k, lam)) for lam in enum_B(order, p))
+    else:
+        pairs = ((lam.weight, hook(k, Partition((p,) + lam.parts))) for lam in enum_B(order, p))
+    return series(pairs, order)
+
+
+def want_sp(k, p, order):
+    return series(((lam.weight, hook(k, lam)) for lam in enum_D(order, p)), order)
+
+
+def osp1_sum(n, p, order):
+    return osp1_dim_t(n, p, order, route="sum")
+
+
+def clear_tables():
+    """Empty the graded sums and the gl(k) rows they were read from."""
+    characters._SUMS.clear()
+    weyl_table.cache_clear()
+
+
 # (m, n) pairs: wide, equal ranks (gl(0)) and tall
 RANKS = [(3, 1), (4, 2), (2, 2), (0, 0), (1, 3), (0, 2), (2, 5)]
 
@@ -63,16 +108,14 @@ RANKS = [(3, 1), (4, 2), (2, 2), (0, 0), (1, 3), (0, 2), (2, 5)]
 @pytest.mark.parametrize("m,n", RANKS)
 @pytest.mark.parametrize("p", [0, 1, 3])
 def test_ospB(order, m, n, p):
-    want = series(((lam.weight, sdim(m, n, lam)) for lam in enum_partitions(order, p)), order)
-    assert_same(ospB_sdim_t(m, n, p, order), want)
+    assert_same(ospB_sdim_t(m, n, p, order), want_ospB(m, n, p, order))
 
 
 @pytest.mark.parametrize("order", ORDERS)
 @pytest.mark.parametrize("m,n", RANKS)
 @pytest.mark.parametrize("p", [0, 1, 3])
 def test_ospD(order, m, n, p):
-    want = series(((lam.weight, sdim(m, n, lam)) for lam in enum_B(order, p)), order)
-    assert_same(ospD_sdim_t(m, n, p, order), want)
+    assert_same(ospD_sdim_t(m, n, p, order), want_ospD(m, n, p, order))
 
 
 # the tall builders stream the conjugate family, shapes with at most
@@ -84,27 +127,25 @@ TALL_DEEP = (1, 5, 24)
 @pytest.mark.parametrize("p", [2, 5])
 def test_ospB_tall_deep(p):
     m, n, order = TALL_DEEP
-    want = series(((lam.weight, sdim(m, n, lam)) for lam in enum_partitions(order, p)), order)
-    assert_same(ospB_sdim_t(m, n, p, order), want)
+    assert_same(ospB_sdim_t(m, n, p, order), want_ospB(m, n, p, order))
 
 
 @pytest.mark.parametrize("p", [2, 5])
 def test_ospD_tall_deep(p):
     m, n, order = TALL_DEEP
-    want = series(((lam.weight, sdim(m, n, lam)) for lam in enum_B(order, p)), order)
-    assert_same(ospD_sdim_t(m, n, p, order), want)
+    assert_same(ospD_sdim_t(m, n, p, order), want_ospD(m, n, p, order))
 
 
 def test_rows_filled_at_a_low_order_extend_to_a_high_one():
     # the gl(6) rows of an order-5 sum are too short for order 30 and must
-    # be extended in place, to what a fresh table and the oracle give
+    # be extended in place, to what fresh tables and the oracle give
     m, n, p = 1, 7, 6
-    weyl_table.cache_clear()
+    clear_tables()
     ospB_sdim_t(m, n, p, 5)
     reused = ospB_sdim_t(m, n, p, 30)
-    weyl_table.cache_clear()
+    clear_tables()
     fresh = ospB_sdim_t(m, n, p, 30)
-    want = series(((lam.weight, sdim(m, n, lam)) for lam in enum_partitions(30, p)), 30)
+    want = want_ospB(m, n, p, 30)
     assert_same(reused, want)
     assert_same(fresh, want)
 
@@ -113,17 +154,14 @@ def test_rows_filled_at_a_low_order_extend_to_a_high_one():
 @pytest.mark.parametrize("n", [1, 2, 4])
 @pytest.mark.parametrize("p", [0, 1, 2, 5])
 def test_osp1_sum_route(order, n, p):
-    lams = enum_partitions(order, None, p)
-    want = series(((lam.weight, hook(n, lam)) for lam in lams), order)
-    assert_same(osp1_dim_t(n, p, order, route="sum"), want)
+    assert_same(osp1_sum(n, p, order), want_osp1_sum(n, p, order))
 
 
 @pytest.mark.parametrize("order", ORDERS)
 @pytest.mark.parametrize("k", [1, 2, 4])
 @pytest.mark.parametrize("p", [0, 1, 3])
 def test_so_odd(order, k, p):
-    want = series(((lam.weight, hook(k, lam)) for lam in enum_partitions(order, p)), order)
-    assert_same(so_odd_dim_t(k, p, order), want)
+    assert_same(so_odd_dim_t(k, p, order), want_so_odd(k, p, order))
 
 
 @pytest.mark.parametrize("order", ORDERS)
@@ -131,17 +169,74 @@ def test_so_odd(order, k, p):
 @pytest.mark.parametrize("p", [0, 1, 2, 4])
 @pytest.mark.parametrize("chirality", ["last", "next_to_last"])
 def test_so_even(order, k, p, chirality):
-    # for even k the "last" chirality sums plain shapes, for odd k the other
-    if (chirality == "last") == (k % 2 == 0):
-        pairs = ((lam.weight, hook(k, lam)) for lam in enum_B(order, p))
-    else:
-        pairs = ((lam.weight, hook(k, Partition((p,) + lam.parts))) for lam in enum_B(order, p))
-    assert_same(so_even_dim_t(k, p, chirality, order), series(pairs, order))
+    assert_same(so_even_dim_t(k, p, chirality, order), want_so_even(k, p, chirality, order))
 
 
 @pytest.mark.parametrize("order", ORDERS)
 @pytest.mark.parametrize("k", [1, 2, 4])
 @pytest.mark.parametrize("p", [0, 1, 3, 6])
 def test_sp(order, k, p):
-    want = series(((lam.weight, hook(k, lam)) for lam in enum_D(order, p)), order)
-    assert_same(sp_dim_t(k, p, order), want)
+    assert_same(sp_dim_t(k, p, order), want_sp(k, p, order))
+
+
+def test_tall_ospB_and_so_odd_keep_their_own_sums():
+    # at gl(k) the tall ospB streams shapes of at most min(p, k) rows and
+    # so_odd those inside the k x p rectangle: one stream, other bounds
+    k, p, order = 3, 2, 12
+    clear_tables()
+    tall = ospB_sdim_t(1, 1 + k, p, order)
+    so = so_odd_dim_t(k, p, order)
+    assert set(characters._SUMS) == {
+        (k, partition_batches, (None, min(p, k))),
+        (k, partition_batches, (p, k)),
+    }
+    assert_same(tall, want_ospB(1, 1 + k, p, order))
+    assert_same(so, want_so_odd(k, p, order))
+    assert tall.substitute_neg_t() != so
+
+
+def test_one_family_at_one_rank_is_summed_once():
+    # both sides of ospB-vs-soOdd read one entry, whatever the free rank
+    clear_tables()
+    for n in (1, 2, 3):
+        assert characters.verify_correspondence("ospB-vs-soOdd", k=2, p=3, n=n, order=10).match
+    assert list(characters._SUMS) == [(2, partition_batches, (3, 2))]
+
+
+BUILDS = {
+    "ospB": (ospB_sdim_t, want_ospB),
+    "ospD": (ospD_sdim_t, want_ospD),
+    "osp1": (osp1_sum, want_osp1_sum),
+    "soOdd": (so_odd_dim_t, want_so_odd),
+    "soEven": (so_even_dim_t, want_so_even),
+    "sp": (sp_dim_t, want_sp),
+}
+
+
+def test_any_sequence_of_builds_and_orders_reads_what_fresh_tables_give():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    small = st.integers(0, 4)
+    specs = st.one_of(
+        st.tuples(st.sampled_from(["ospB", "ospD"]), small, small, small),
+        st.tuples(st.sampled_from(["osp1", "soOdd", "sp"]), st.integers(1, 4), small),
+        st.tuples(st.just("soEven"), st.integers(2, 4), small, st.sampled_from(["last", "next_to_last"])),
+    )
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(
+        st.lists(specs, min_size=1, max_size=4),
+        st.lists(st.integers(0, 14), min_size=2, max_size=5),
+    )
+    def check(drawn, orders):
+        # every spec at every order, so each entry is read below, at and
+        # above its held order; ranks this small share entries often
+        calls = [(spec, order) for order in orders for spec in drawn]
+        got = [BUILDS[name][0](*args, order) for (name, *args), order in calls]
+        for ((name, *args), order), series_ in zip(calls, got):
+            clear_tables()
+            build, want = BUILDS[name]
+            assert_same(series_, build(*args, order))
+            assert_same(series_, want(*args, order))
+
+    check()

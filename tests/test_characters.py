@@ -412,6 +412,34 @@ class TestVerify:
         assert report.first_divergence == 2
         assert report.to_json_dict()["verdict"] == "mismatch"
 
+    def test_compared_through_is_the_smaller_order(self):
+        spec = IrrepSpec("d21", p=1)
+        long, short = polynomial([1, 2, 3, 4, 5], 7), polynomial([1, 2, 3, 4], 3)
+        for left, right in ((long, short), (short, long)):
+            report = CorrespondenceReport("d21-vs-so2", Side(spec, "branching", left), Side(spec, "closed", right))
+            assert report.compared_through == 3
+            assert report.match
+        report = verify_correspondence("ospB-vs-osp1", k=2, p=1, order=6)
+        assert report.compared_through == 6
+        assert "compared_through" not in report.to_json_dict()
+
+    def test_the_two_series_are_compared_once_per_report(self, monkeypatch):
+        calls = []
+        real = TruncatedSeries.first_divergence
+
+        def counted(self, other):
+            calls.append(other)
+            return real(self, other)
+
+        monkeypatch.setattr(TruncatedSeries, "first_divergence", counted)
+        spec = IrrepSpec("d21", p=1)
+        left = Side(spec, "branching", polynomial([1, 2, 3], 4))
+        right = Side(spec, "closed", polynomial([1, 2, 4], 4))
+        report = CorrespondenceReport("d21-vs-so2", left, right)
+        assert (report.first_divergence, report.match, report.to_json_dict()["verdict"]) == (2, False, "mismatch")
+        assert report.to_json_dict()["first_divergence"] == 2
+        assert len(calls) == 1
+
     def test_routes_named(self):
         report = verify_correspondence("ospB-vs-osp1", k=2, p=1, order=6)
         assert report.right.route == "closed at -t"

@@ -15,6 +15,19 @@ def run(*args, env=None):
     return CliRunner().invoke(main, list(args), env=env)
 
 
+def count_comparisons(monkeypatch) -> list:
+    """Record every TruncatedSeries.first_divergence call from now on."""
+    calls = []
+    real = TruncatedSeries.first_divergence
+
+    def counted(self, other):
+        calls.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(TruncatedSeries, "first_divergence", counted)
+    return calls
+
+
 # The output contract: exact stdout and exit code of every command in each
 # format, plus two usage errors.  Editing a row changes what users see.
 CONTRACT = [
@@ -274,6 +287,13 @@ class TestVerify:
         result = run("verify", "--case", "ospB-vs-soOdd", "--p", "1")
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_compares_the_two_series_once(self, monkeypatch, fmt):
+        calls = count_comparisons(monkeypatch)
+        result = run("verify", "--case", "ospB-vs-soOdd", "--k", "2", "--p", "1", "--order", "6", "--format", fmt)
+        assert result.exit_code == 0
+        assert len(calls) == 1
+
 
 class TestSweep:
     def test_small_sweep(self):
@@ -307,6 +327,14 @@ class TestSweep:
         assert payload["checked"] == 4  # k in {2,3}, p in {0,1}
         assert payload["mismatches"] == 0
         assert all(r["verdict"] == "match" for r in payload["results"])
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_compares_each_combination_once(self, monkeypatch, fmt):
+        calls = count_comparisons(monkeypatch)
+        result = run("sweep", "--k-max", "2", "--p-max", "1", "--free-count", "2", "--order", "4", "--format", fmt)
+        assert result.exit_code == 0
+        # 8 combinations of each case with k and a free rank, 4 of ospD-vs-soEven (k = 2) and one of d21
+        assert len(calls) == 8 * 3 + 4 + 1
 
     def test_all_cases_smoke(self):
         result = run(

@@ -219,6 +219,11 @@ class TestComparison:
         short = polynomial([1, 2], 1)
         assert a.first_divergence(short) is None  # common window agrees
 
+    @pytest.mark.parametrize("other", [3, Fraction(1, 2), None, [1, 2]])
+    def test_first_divergence_refuses_what_is_not_a_series(self, other):
+        with pytest.raises(TypeError, match=f"needs a TruncatedSeries, got {type(other).__name__}$"):
+            polynomial([1, 2], 1).first_divergence(other)
+
     def test_first_divergence_matches_a_fraction_oracle(self):
         rng = random.Random(2016)
         diverged = agreed = 0
