@@ -8,11 +8,12 @@ lowest-weight prefactor is dropped and the constant term is the dimension of
 the bottom graded piece.  Every branching sum is one plain gl(k) kernel,
 `_branching_sum`, over the sibling batches of a partition family: it reads
 one row of gl(k) dimensions per batch.  The even-multiplicity family and
-so(2k)'s shapes under a head row come as one-child batches.  The kernel
-calls the family's stream itself and keeps each sum, as exact ints, in one
-process-wide table keyed by (k, stream, bounds).  A request at or below the
-held order reads a prefix; a higher one walks again and must reproduce the
-held coefficients.  So builders that stream one family at one gl(k) read
+so(2k)'s shapes under a head row come as one-child batches.  One
+process-wide owner, `SUMS`, calls the family's stream and keeps each sum,
+as exact ints, keyed by (k, stream, bounds), with counts per key of walks,
+resumes, reads and shapes summed.  A request at or below the held order
+reads a prefix; a higher one resumes, streaming only the shapes heavier
+than the held order.  So builders that stream one family at one gl(k) read
 one sum: both sides of ospB-vs-soOdd, ospD-vs-soEven and ospD-vs-sp, which
 compared one sum with itself before the table too (ROADMAP item 1).  The
 closed routes never read the table.  Builders return the +t grading;
@@ -60,36 +61,81 @@ from .schur import dim_gl_frobenius, super_schur_eval, weyl_table
 from .series import DEFAULT_ORDER, TruncatedSeries, polynomial
 
 
-# (k, stream, bounds) -> the gl(k) sum's coefficients through the highest
-# order asked for so far; exact ints only
-_SUMS: dict[tuple, list[int]] = {}
+def _branching_sum(coeffs: list[int], k: int, batches: Batches) -> int:
+    """Add, for each (parent, weight, cs) batch, the gl(k) dimension of
+    parent + (c,) to coeffs[weight + c] for every c in cs: one row of
+    `weyl_table(k)` per batch, a missing one filled from its parent's row.
+    Returns the number of shapes summed.  `SUMS` calls it with the whole
+    family on a first walk, and on a request above the held order with
+    only the shapes heavier than that order: a higher request resumes."""
+    rows = weyl_table(k)
+    get, new_row, fill = rows.get, rows.new_row, rows.row
+    shapes = 0
+    for parent, weight, cs in batches:
+        row = get(parent)
+        if row is None:
+            row = new_row(parent, cs[0])
+        elif len(row) <= cs[0]:
+            row = fill(parent, cs[0])
+        for c in cs:
+            coeffs[weight + c] += row[c]
+        shapes += len(cs)
+    return shapes
 
 
-def _branching_sum(order: int, k: int, stream: Callable[..., Batches], *bounds) -> TruncatedSeries:
-    """Add, for each (parent, weight, cs) batch of stream(order, *bounds),
-    the gl(k) dimension of parent + (c,) at t^(weight + c) for every c in
-    cs: one row of `weyl_table(k)` per batch.
+@dataclass(slots=True)
+class SumCounts:
+    """What `SUMS` did for one key: walks from weight 0, resumes above the
+    held order, reads at or below it, and the shapes its walks summed."""
 
-    The coefficient of t^w does not depend on the order, so the sum is kept
-    in `_SUMS` under (k, stream, bounds) and a request at or below the held
-    order reads a prefix.  A higher one walks again and must reproduce the
-    held coefficients before it replaces them."""
-    key = (k, stream, bounds)
-    held = _SUMS.get(key)
-    if held is None or len(held) <= order:
-        coeffs = [0] * (order + 1)
-        rows = weyl_table(k)
-        get, fill = rows.get, rows.row
-        for parent, weight, cs in stream(order, *bounds):
-            row = get(parent)
-            if row is None or len(row) <= cs[0]:
-                row = fill(parent, cs[0])
-            for c in cs:
-                coeffs[weight + c] += row[c]
-        if held is not None:
-            assert coeffs[: len(held)] == held, f"gl({k}) sum of {stream.__name__}{bounds} changed"
-        _SUMS[key] = held = coeffs
-    return TruncatedSeries(held, order)
+    walks: int = 0
+    resumes: int = 0
+    reads: int = 0
+    shapes: int = 0
+
+
+class GradedSums(dict):
+    """The process's graded gl(k) sums: (k, stream, bounds) -> the sum's
+    coefficients through the highest order asked for so far, exact ints
+    only, and in `counts` the SumCounts of each key.
+
+    The coefficient of t^w does not depend on the order, so a request at
+    or below the held order reads a prefix.  A higher one resumes: it
+    streams only the shapes heavier than the held order (`above=`) and adds
+    them to a copy of the held coefficients.  No frontier of a walk is
+    kept, only the coefficients."""
+
+    __slots__ = ("counts",)
+
+    def __init__(self):
+        super().__init__()
+        self.counts: dict[tuple, SumCounts] = {}
+
+    def clear(self) -> None:
+        super().clear()
+        self.counts.clear()
+
+    def series(self, order: int, k: int, stream: Callable[..., Batches], *bounds) -> TruncatedSeries:
+        """The gl(k) sum over stream(order, *bounds) through t^order."""
+        key = (k, stream, bounds)
+        held = self.get(key)
+        if held is not None and len(held) > order:
+            self.counts[key].reads += 1
+            return TruncatedSeries(held, order)
+        counts = self.counts.setdefault(key, SumCounts())
+        if held is None:
+            counts.walks += 1
+            held, above = [], None
+        else:
+            counts.resumes += 1
+            above = len(held) - 1
+        coeffs = held + [0] * (order + 1 - len(held))
+        counts.shapes += _branching_sum(coeffs, k, stream(order, *bounds, above=above))
+        self[key] = coeffs
+        return TruncatedSeries(coeffs, order)
+
+
+SUMS = GradedSums()
 
 
 def osp1_numerator(n: int, p: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
@@ -123,7 +169,7 @@ def osp1_dim_t(
     """
     _check_family("osp1", n=n, p=p, order=order, route=route)
     if route == "sum":
-        return _branching_sum(order, n, partition_batches, None, min(n, p))
+        return SUMS.series(order, n, partition_batches, None, min(n, p))
     den = polynomial([1, -1], order) ** n * polynomial([1, 0, -1], order) ** (n * (n - 1) // 2)
     return osp1_numerator(n, p, order) / den
 
@@ -142,8 +188,8 @@ def ospB_sdim_t(m: int, n: int, p: int, order: int = DEFAULT_ORDER) -> Truncated
     """
     _check_family("ospB", m=m, n=n, p=p, order=order)
     if m >= n:
-        return _branching_sum(order, m - n, partition_batches, p, m - n)
-    return _branching_sum(order, n - m, partition_batches, None, min(p, n - m)).substitute_neg_t()
+        return SUMS.series(order, m - n, partition_batches, p, m - n)
+    return SUMS.series(order, n - m, partition_batches, None, min(p, n - m)).substitute_neg_t()
 
 
 def so_odd_dim_t(k: int, p: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
@@ -151,7 +197,7 @@ def so_odd_dim_t(k: int, p: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     level: a polynomial of degree k*p summing gl(k) dimensions over
     partitions inside the k x p rectangle."""
     _check_family("soOdd", k=k, p=p, order=order)
-    return _branching_sum(order, k, partition_batches, p, k)
+    return SUMS.series(order, k, partition_batches, p, k)
 
 
 def ospD_sdim_t(m: int, n: int, p: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
@@ -162,16 +208,16 @@ def ospD_sdim_t(m: int, n: int, p: int, order: int = DEFAULT_ORDER) -> Truncated
     most min(p, n-m) rows, and t -> -t puts in the sign, as for ospB."""
     _check_family("ospD", m=m, n=n, p=p, order=order)
     if m >= n:
-        return _branching_sum(order, m - n, doubled_batches, p, m - n)
-    return _branching_sum(order, n - m, evened_batches, min(p, n - m)).substitute_neg_t()
+        return SUMS.series(order, m - n, doubled_batches, p, m - n)
+    return SUMS.series(order, n - m, evened_batches, min(p, n - m)).substitute_neg_t()
 
 
-def _headed_batches(max_weight: int, head: int, max_len: int) -> Batches:
-    """The doubled batches of `doubled_batches(max_weight, head, max_len)`
-    under the head row (head): the row goes above each parent and leaves
-    the grading alone, so the root batch ((), 0, (0,)) becomes (head)
-    itself at t^0."""
-    for parent, weight, cs in doubled_batches(max_weight, head, max_len):
+def _headed_batches(max_weight: int, head: int, max_len: int, *, above: int | None = None) -> Batches:
+    """The doubled batches of `doubled_batches(max_weight, head, max_len,
+    above=above)` under the head row (head): the row goes above each
+    parent and leaves the grading alone, so the root batch ((), 0, (0,))
+    becomes (head) itself at t^0."""
+    for parent, weight, cs in doubled_batches(max_weight, head, max_len, above=above):
         yield (head,) + parent, weight, cs
 
 
@@ -191,8 +237,8 @@ def so_even_dim_t(
     _check_family("soEven", k=k, p=p, chirality=chirality, order=order)
     # at most k rows, or k - 1 under the head row; doubling rounds both down
     if chirality == _CHIRALITY[k % 2]:
-        return _branching_sum(order, k, doubled_batches, p, k)
-    return _branching_sum(order, k, _headed_batches, p, k - 1)
+        return SUMS.series(order, k, doubled_batches, p, k)
+    return SUMS.series(order, k, _headed_batches, p, k - 1)
 
 
 def sp_dim_t(k: int, p: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
@@ -201,7 +247,7 @@ def sp_dim_t(k: int, p: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     with even parts and at most min(p, k) rows.  Only even powers of t
     occur."""
     _check_family("sp", k=k, p=p, order=order)
-    return _branching_sum(order, k, evened_batches, min(p, k))
+    return SUMS.series(order, k, evened_batches, min(p, k))
 
 
 def spinor_tdim(m: int, n: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:

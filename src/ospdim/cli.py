@@ -39,7 +39,6 @@ from .characters import CASES, FAMILIES, IrrepSpec, spinor_sdim, verify_correspo
 from .partitions import Partition
 from .schur import dim_gl_frobenius, dim_gl_hook, dim_gl_weyl, sdim_gl
 from .series import DEFAULT_ORDER
-from .selftest import run_selftest
 
 FORMATS = click.Choice(["text", "json", "csv"])
 # every --order: the flag beats OSPDIM_ORDER, which beats the default, and a negative value is a usage error
@@ -259,6 +258,9 @@ def sweep(case, k_max, p_max, free_count, order, fmt):
 @click.option("--format", "fmt", type=FORMATS, default="text", show_default=True)
 def selftest(seed, fmt):
     """Recompute every built-in golden example; exit 1 on any failure."""
+    # imported here, so no other command compiles or loads the goldens
+    from .selftest import run_selftest
+
     results = run_selftest(seed=seed)
     passed = sum(r.ok for r in results)
     _emit(

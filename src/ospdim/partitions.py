@@ -210,7 +210,7 @@ ROOT: Batch = ((), 0, (0,))
 
 
 def _check_bounds(
-    nullable: tuple[str, ...] = ("max_part", "max_len"), /, **bounds: int | None
+    nullable: tuple[str, ...] = ("max_part", "max_len", "above"), /, **bounds: int | None
 ) -> None:
     """ValueError unless each bound is an int >= 0 or, for a name in
     nullable, None."""
@@ -228,30 +228,40 @@ def _shapes(batches: Iterable[Batch]) -> Iterator[tuple[tuple[int, ...], int]]:
 
 
 def partition_batches(
-    max_weight: int, max_part: int | None = None, max_len: int | None = None
+    max_weight: int, max_part: int | None = None, max_len: int | None = None,
+    *, above: int | None = None,
 ) -> Batches:
     """The shapes with weight <= max_weight, parts[0] <= max_part and
     len(parts) <= max_len as sibling batches: each shape after its parent
-    parts[:-1] and, within one weight, lexicographically descending."""
-    _check_bounds(max_part=max_part, max_len=max_len, max_weight=max_weight)
+    parts[:-1] and, within one weight, lexicographically descending.  With
+    above, only the shapes heavier than it, in the same relative order."""
+    _check_bounds(max_part=max_part, max_len=max_len, max_weight=max_weight, above=above)
     part_cap = max_weight if max_part is None else max_part
     len_cap = max_weight if max_len is None else min(max_len, max_weight)
-    return _preorder(max_weight, (part_cap,) * len_cap)
+    return _preorder(max_weight, (part_cap,) * len_cap, 1, -1 if above is None else above)
 
 
-def _preorder(max_weight: int, caps: tuple[int, ...], step: int = 1) -> Batches:
-    """The shapes with row i at most caps[i], at most len(caps) rows,
-    weight at most max_weight and every part a multiple of step, as sibling
-    batches: ROOT, then the children of each node as the walk expands it,
-    largest first.  The caps must be multiples of step and, past the
-    first, positive.
+def _preorder(max_weight: int, caps: tuple[int, ...], step: int = 1, above: int = -1) -> Batches:
+    """The shapes heavier than above with row i at most caps[i], at most
+    len(caps) rows, weight at most max_weight and every part a multiple of
+    step, as sibling batches: ROOT if above < 0, then the children of each
+    node as the walk expands it, largest first, each batch cut to the
+    children heavier than above and left out when none is.  max_weight and
+    the caps must be multiples of step and the caps, past the first,
+    positive.
 
     Only children with room to grow are pushed, smallest first, so the
     largest child's subtree is done before its next sibling is expanded.
+    A child c in row i holds at most c in each of its rows - i rows, so one
+    with weight + c * (rows - i) <= above is not pushed: a resumed walk
+    skips every subtree whose heaviest shape is no heavier than above,
+    exactly so when the caps are equal.
     """
-    yield ROOT
+    if above < 0:
+        yield ROOT
     rows = len(caps)
-    stack = [((), 0)] if rows and min(caps[0], max_weight) >= step else []
+    grows = rows and min(caps[0], max_weight) >= step and min(caps[0] * rows, max_weight) > above
+    stack = [((), 0)] if grows else []
     pop, push = stack.pop, stack.extend
     while stack:
         parts, weight = pop()
@@ -262,24 +272,36 @@ def _preorder(max_weight: int, caps: tuple[int, ...], step: int = 1) -> Batches:
             top = caps[i]
         if room < top:
             top = room
-        yield parts, weight, range(top, 0, -step)
         grow = room - step
         if top < grow:
             grow = top
-        if grow >= step and i + 1 < rows:
-            push([(parts + (c,), weight + c) for c in range(step, grow + 1, step)])
+        if weight > above:
+            yield parts, weight, range(top, 0, -step)
+            low = step
+        else:
+            # the children heavier than above are those with c > need, and
+            # low is the smallest c, a multiple of step, with c * (rows - i) > need
+            need = above - weight
+            if top > need:
+                yield parts, weight, range(top, need, -step)
+            low = max(step, -(-(need // (rows - i) + 1) // step) * step)
+        if grow >= low and i + 1 < rows:
+            push([(parts + (c,), weight + c) for c in range(low, grow + 1, step)])
 
 
 def doubled_batches(
-    max_weight: int, max_part: int | None = None, max_len: int | None = None
+    max_weight: int, max_part: int | None = None, max_len: int | None = None,
+    *, above: int | None = None,
 ) -> Batches:
     """The even-multiplicity family (c1, c1, c2, c2, ...) for every
     (c1, c2, ...) of half the weight and half the length bound, one shape
     per batch: (c1, c1, ..., cj) with the one child cj at weight
-    2(c1 + ... + cj) - cj, and ROOT for the empty shape."""
-    _check_bounds(max_part=max_part, max_len=max_len, max_weight=max_weight)
+    2(c1 + ... + cj) - cj, and ROOT for the empty shape.  With above, only
+    the shapes heavier than it: the half walk resumes above above // 2."""
+    _check_bounds(max_part=max_part, max_len=max_len, max_weight=max_weight, above=above)
     half_len = None if max_len is None else max_len // 2
-    return _doubled(partition_batches(max_weight // 2, max_part, half_len))
+    half_above = None if above is None else above // 2
+    return _doubled(partition_batches(max_weight // 2, max_part, half_len, above=half_above))
 
 
 def _doubled(half: Batches) -> Batches:
@@ -289,13 +311,16 @@ def _doubled(half: Batches) -> Batches:
             yield (twice + (c,), 2 * weight + c, (c,)) if c else ROOT
 
 
-def evened_batches(max_weight: int, max_len: int | None = None) -> Batches:
+def evened_batches(
+    max_weight: int, max_len: int | None = None, *, above: int | None = None
+) -> Batches:
     """The even-part family (2 c1, 2 c2, ...) for every (c1, c2, ...) of
-    half the weight, as sibling batches of a walk in parts of step two."""
-    _check_bounds(max_len=max_len, max_weight=max_weight)
+    half the weight, as sibling batches of a walk in parts of step two;
+    with above, only the shapes heavier than it."""
+    _check_bounds(max_len=max_len, max_weight=max_weight, above=above)
     half = max_weight // 2
     len_cap = half if max_len is None else min(max_len, half)
-    return _preorder(2 * half, (2 * half,) * len_cap, 2)
+    return _preorder(2 * half, (2 * half,) * len_cap, 2, -1 if above is None else above)
 
 
 def _by_weight(batches: Batches) -> Iterator[Partition]:

@@ -40,8 +40,11 @@ class _WeylTable(dict):
     with h_a = lambda_a + i - a: Weyl's prod_{i<j} (l_i - l_j)/(j - i) over
     l_i = lambda_i + n-1-i, taken one row at a time.  A row carries that
     factor from c - 1 to c, multiplying by (c + n-1-i)/c * prod_{a<i}
-    (h_a - c)/(h_a - c + 1).  Each division is exact, since it leaves a
-    dimension.  A parent of n rows or more has no non-empty child.
+    (h_a - c)/(h_a - c + 1).  The hook product in the denominator is the
+    numerator's of the entry before, so each new entry computes one hook
+    product and reuses the previous one.  Each division is exact, since it
+    leaves a dimension, and is checked on every entry.  A parent of n rows
+    or more has no non-empty child.
     """
 
     __slots__ = ("n",)
@@ -70,6 +73,18 @@ class _WeylTable(dict):
             dim = self._extend(parent[:i], dim, parent[i])[parent[i]]
         return self._extend(parent, dim, top)
 
+    def new_row(self, parent: tuple[int, ...], top: int) -> list[int]:
+        """The row of a parent the table does not hold yet, through c = top:
+        one lookup of the row of parent[:-1], which a walk in preorder has
+        carried through parent[-1] already, and one extension.  The empty
+        parent, or one whose own parent's row falls short, takes row()'s
+        prefix search."""
+        if parent:
+            up = self.get(parent[:-1])
+            if up is not None and len(up) > parent[-1]:
+                return self._extend(parent, up[parent[-1]], top)
+        return self.row(parent, top)
+
     def _extend(self, parent: tuple[int, ...], dim: int, top: int) -> list[int]:
         """Carry the row of parent, whose dimension is dim, through c = top."""
         row = self.setdefault(parent, [dim])
@@ -79,15 +94,19 @@ class _WeylTable(dict):
             return row
         shift = self.n - 1 - i
         hooks = [part + i - a for a, part in enumerate(parent)]
-        for c in range(len(row), top + 1):
-            num = c + shift
-            den = c
+        start = len(row)
+        # the hook product of the entry before start
+        last = 1
+        for h in hooks:
+            last *= h - start + 1
+        for c in range(start, top + 1):
+            prod = 1
             for h in hooks:
-                num *= h - c
-                den *= h - c + 1
-            dim, r = divmod(row[-1] * num, den)
+                prod *= h - c
+            dim, r = divmod(row[-1] * (c + shift) * prod, c * last)
             assert r == 0, f"Weyl row of {parent}, n={self.n} did not divide evenly at {c}"
             row.append(dim)
+            last = prod
         return row
 
     def dim(self, parts: tuple[int, ...]) -> int:

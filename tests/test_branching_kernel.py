@@ -8,8 +8,10 @@ only the bounds that define each family and lets the hook-content product
 vanish on shapes with too many rows, so it does not reuse the builders'
 length bounds either.  The builders keep each graded sum for the life of
 the process, so the tests of that table clear it, with the gl(k) rows,
-wherever a fresh walk is meant.
+wherever a fresh walk is meant, and the resume tests read its counts.
 """
+
+from functools import partial
 
 import pytest
 
@@ -22,7 +24,15 @@ from ospdim.characters import (
     so_odd_dim_t,
     sp_dim_t,
 )
-from ospdim.partitions import Partition, enum_B, enum_D, enum_partitions, partition_batches
+from ospdim.partitions import (
+    Partition,
+    doubled_batches,
+    enum_B,
+    enum_D,
+    enum_partitions,
+    evened_batches,
+    partition_batches,
+)
 from ospdim.schur import dim_gl_hook, weyl_table
 from ospdim.series import TruncatedSeries
 
@@ -96,7 +106,7 @@ def osp1_sum(n, p, order):
 
 def clear_tables():
     """Empty the graded sums and the gl(k) rows they were read from."""
-    characters._SUMS.clear()
+    characters.SUMS.clear()
     weyl_table.cache_clear()
 
 
@@ -186,7 +196,7 @@ def test_tall_ospB_and_so_odd_keep_their_own_sums():
     clear_tables()
     tall = ospB_sdim_t(1, 1 + k, p, order)
     so = so_odd_dim_t(k, p, order)
-    assert set(characters._SUMS) == {
+    assert set(characters.SUMS) == {
         (k, partition_batches, (None, min(p, k))),
         (k, partition_batches, (p, k)),
     }
@@ -200,7 +210,7 @@ def test_one_family_at_one_rank_is_summed_once():
     clear_tables()
     for n in (1, 2, 3):
         assert characters.verify_correspondence("ospB-vs-soOdd", k=2, p=3, n=n, order=10).match
-    assert list(characters._SUMS) == [(2, partition_batches, (3, 2))]
+    assert list(characters.SUMS) == [(2, partition_batches, (3, 2))]
 
 
 BUILDS = {
@@ -240,3 +250,65 @@ def test_any_sequence_of_builds_and_orders_reads_what_fresh_tables_give():
             assert_same(series_, want(*args, order))
 
     check()
+
+
+# one family per stream, to be built at rising orders in one process: the
+# builder and its oracle, each taking the order last, the owner's key and
+# the family's shapes through an order
+RESUMED_ORDERS = (5, 12, 20)
+STREAMS = {
+    "tall": (
+        partial(ospB_sdim_t, 1, 4, 3), partial(want_ospB, 1, 4, 3),
+        (3, partition_batches, (None, 3)), lambda o: enum_partitions(o, None, 3),
+    ),
+    "rectangle": (
+        partial(so_odd_dim_t, 4, 5), partial(want_so_odd, 4, 5),
+        (4, partition_batches, (5, 4)), lambda o: enum_partitions(o, 5, 4),
+    ),
+    "evened": (
+        partial(sp_dim_t, 3, 4), partial(want_sp, 3, 4),
+        (3, evened_batches, (3,)), lambda o: enum_D(o, 3),
+    ),
+    "doubled": (
+        partial(so_even_dim_t, 4, 5, "last"), partial(want_so_even, 4, 5, "last"),
+        (4, doubled_batches, (5, 4)), lambda o: enum_B(o, 5, 4),
+    ),
+    "headed": (
+        partial(so_even_dim_t, 5, 5, "last"), partial(want_so_even, 5, 5, "last"),
+        (5, characters._headed_batches, (5, 4)), lambda o: enum_B(o, 5, 4),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", STREAMS)
+def test_a_higher_order_resumes_and_sums_only_the_new_shapes(name):
+    build, want, key, shapes = STREAMS[name]
+    low, _, high = RESUMED_ORDERS
+    clear_tables()
+    got = {}
+    for order in RESUMED_ORDERS:
+        got[order] = build(order)
+        if order == low:
+            walked = characters.SUMS.counts[key].shapes
+    counts = characters.SUMS.counts[key]
+    assert (counts.walks, counts.resumes, counts.reads) == (1, 2, 0)
+    assert walked == sum(1 for _ in shapes(low))
+    assert counts.shapes - walked == sum(1 for lam in shapes(high) if lam.weight > low)
+    assert list(characters.SUMS) == [key]
+    for order, series_ in got.items():
+        clear_tables()
+        assert_same(series_, build(order))
+        assert_same(series_, want(order))
+
+
+def test_resumed_tall_ospB_equals_the_closed_osp1_route():
+    # the closed route divides out a numerator and reads no graded sum
+    clear_tables()
+    for k in range(1, 5):
+        for p in range(5):
+            closed = osp1_dim_t(k, p, 30, route="closed").substitute_neg_t()
+            for order in (10, 20, 30):
+                assert ospB_sdim_t(1, 1 + k, p, order).coeffs == closed.coeffs[: order + 1], (k, p, order)
+            # each p > k shares the key of p = k and only reads it
+            counts = characters.SUMS.counts[(k, partition_batches, (None, min(p, k)))]
+            assert (counts.walks, counts.resumes) == (1, 2)

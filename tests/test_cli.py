@@ -390,6 +390,18 @@ class TestSelftest:
         assert payload["failed"] == 0
         assert payload["passed"] == len(payload["results"])
 
+    def test_other_commands_never_load_it(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        code = "import sys, ospdim.cli; print('ospdim.selftest' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout == "False\n"
+
 
 class TestOrderEnv:
     def test_env_sets_default_order(self):

@@ -1,6 +1,7 @@
 """Property-based tests of partitions and their enumerators: conjugation,
 Frobenius coordinates, closed-form counts, and the raw depth-first
-enumerator against the public weight-ordered one and a brute force."""
+enumerator against the public weight-ordered one and a brute force, and a
+walk resumed above a held weight against the full walk."""
 
 from math import comb
 
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from ospdim.partitions import (  # noqa: E402
     FrobeniusForm,
     Partition,
+    _preorder,
     _shapes,
     doubled_batches,
     enum_B,
@@ -138,3 +140,33 @@ def test_walks_yield_each_shape_once_after_its_parent(w, a, b):
     check_once_after_parent(_shapes(evened_batches(w, b)))
     doubled = [t for t, _ in _shapes(doubled_batches(w, a, b))]
     assert len(doubled) == len(set(doubled))
+
+
+def check_resumed(full, resumed, above):
+    """The resumed batches expand to the full stream's shapes heavier than
+    above, each once, in the full stream's relative order."""
+    want = [shape for shape in _shapes(full) if shape[1] > above]
+    got = list(_shapes(resumed))
+    assert got == want
+    assert len({parts for parts, _ in got}) == len(got)
+
+
+@CHECKS
+@given(
+    st.integers(1, 3),
+    st.integers(0, 10),
+    st.lists(st.integers(0, 4), max_size=5).map(lambda xs: xs[:1] + [max(x, 1) for x in xs[1:]]),
+    st.integers(0, 24),
+)
+def test_a_resumed_walk_gives_the_full_walks_heavier_shapes(step, units, cap_units, above):
+    # max_weight and the caps are multiples of step, the caps past the first positive
+    caps = tuple(step * c for c in cap_units)
+    check_resumed(_preorder(step * units, caps, step), _preorder(step * units, caps, step, above), above)
+
+
+@CHECKS
+@given(st.integers(0, 14), bounds, bounds, st.integers(0, 16))
+def test_every_batch_stream_resumes_above_a_held_weight(w, a, b, above):
+    check_resumed(partition_batches(w, a, b), partition_batches(w, a, b, above=above), above)
+    check_resumed(doubled_batches(w, a, b), doubled_batches(w, a, b, above=above), above)
+    check_resumed(evened_batches(w, b), evened_batches(w, b, above=above), above)

@@ -459,6 +459,13 @@ class TestNegativeBounds:
             with pytest.raises(ValueError):
                 call()
 
+    def test_every_batch_stream_rejects_a_bad_floor(self):
+        # above is None or an int >= 0, checked on the call
+        for stream in (partition_batches, doubled_batches, evened_batches):
+            for bad in (-1, 1.5, True, "2"):
+                with pytest.raises(ValueError):
+                    stream(4, above=bad)
+
     def test_every_enumerator_rejects_a_bound_that_is_not_an_int(self):
         calls = [
             lambda bad: partition_batches(bad),
