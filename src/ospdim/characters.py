@@ -39,6 +39,7 @@ for a series), osp1_numerator and cummins_king_check against their own rules.
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from functools import cached_property
@@ -64,18 +65,16 @@ from .series import DEFAULT_ORDER, TruncatedSeries, polynomial
 def _branching_sum(coeffs: list[int], k: int, batches: Batches) -> int:
     """Add, for each (parent, weight, cs) batch, the gl(k) dimension of
     parent + (c,) to coeffs[weight + c] for every c in cs: one row of
-    `weyl_table(k)` per batch, a missing one filled from its parent's row.
+    `weyl_table(k)` per batch, filled or extended when missing or short.
     Returns the number of shapes summed.  `SUMS` calls it with the whole
     family on a first walk, and on a request above the held order with
     only the shapes heavier than that order: a higher request resumes."""
     rows = weyl_table(k)
-    get, new_row, fill = rows.get, rows.new_row, rows.row
+    get, fill = rows.get, rows.row
     shapes = 0
     for parent, weight, cs in batches:
         row = get(parent)
-        if row is None:
-            row = new_row(parent, cs[0])
-        elif len(row) <= cs[0]:
+        if row is None or len(row) <= cs[0]:
             row = fill(parent, cs[0])
         for c in cs:
             coeffs[weight + c] += row[c]
@@ -86,7 +85,8 @@ def _branching_sum(coeffs: list[int], k: int, batches: Batches) -> int:
 @dataclass(slots=True)
 class SumCounts:
     """What `SUMS` did for one key: walks from weight 0, resumes above the
-    held order, reads at or below it, and the shapes its walks summed."""
+    held order, reads at or below it, and the shapes its walks and resumes
+    summed."""
 
     walks: int = 0
     resumes: int = 0
@@ -97,7 +97,8 @@ class SumCounts:
 class GradedSums(dict):
     """The process's graded gl(k) sums: (k, stream, bounds) -> the sum's
     coefficients through the highest order asked for so far, exact ints
-    only, and in `counts` the SumCounts of each key.
+    only, and in `counts` the SumCounts of each key, raised once a walk
+    or resume has stored its coefficients.
 
     The coefficient of t^w does not depend on the order, so a request at
     or below the held order reads a prefix.  A higher one resumes: it
@@ -109,7 +110,7 @@ class GradedSums(dict):
 
     def __init__(self):
         super().__init__()
-        self.counts: dict[tuple, SumCounts] = {}
+        self.counts: defaultdict[tuple, SumCounts] = defaultdict(SumCounts)
 
     def clear(self) -> None:
         super().clear()
@@ -122,16 +123,19 @@ class GradedSums(dict):
         if held is not None and len(held) > order:
             self.counts[key].reads += 1
             return TruncatedSeries(held, order)
-        counts = self.counts.setdefault(key, SumCounts())
         if held is None:
-            counts.walks += 1
             held, above = [], None
         else:
-            counts.resumes += 1
             above = len(held) - 1
         coeffs = held + [0] * (order + 1 - len(held))
-        counts.shapes += _branching_sum(coeffs, k, stream(order, *bounds, above=above))
+        shapes = _branching_sum(coeffs, k, stream(order, *bounds, above=above))
         self[key] = coeffs
+        counts = self.counts[key]
+        if above is None:
+            counts.walks += 1
+        else:
+            counts.resumes += 1
+        counts.shapes += shapes
         return TruncatedSeries(coeffs, order)
 
 

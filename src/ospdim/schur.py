@@ -58,7 +58,9 @@ class _WeylTable(dict):
         A missing parent's dimension comes from its longest prefix whose
         row reaches the next part, or from the empty shape's 1; every row
         on the way is extended just far enough and kept, in a loop, so a
-        shape longer than the recursion limit works."""
+        shape longer than the recursion limit works.  A walk in preorder
+        carries each parent's row through its children first, so there a
+        missing row costs one lookup of its parent's row and one extension."""
         row = self.get(parent)
         if row is not None:
             return row if len(row) > top else self._extend(parent, row[0], top)
@@ -72,18 +74,6 @@ class _WeylTable(dict):
         for i in range(held, len(parent)):
             dim = self._extend(parent[:i], dim, parent[i])[parent[i]]
         return self._extend(parent, dim, top)
-
-    def new_row(self, parent: tuple[int, ...], top: int) -> list[int]:
-        """The row of a parent the table does not hold yet, through c = top:
-        one lookup of the row of parent[:-1], which a walk in preorder has
-        carried through parent[-1] already, and one extension.  The empty
-        parent, or one whose own parent's row falls short, takes row()'s
-        prefix search."""
-        if parent:
-            up = self.get(parent[:-1])
-            if up is not None and len(up) > parent[-1]:
-                return self._extend(parent, up[parent[-1]], top)
-        return self.row(parent, top)
 
     def _extend(self, parent: tuple[int, ...], dim: int, top: int) -> list[int]:
         """Carry the row of parent, whose dimension is dim, through c = top."""

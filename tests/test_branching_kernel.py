@@ -301,6 +301,28 @@ def test_a_higher_order_resumes_and_sums_only_the_new_shapes(name):
         assert_same(series_, want(order))
 
 
+def test_a_refused_or_failed_sum_leaves_no_count():
+    clear_tables()
+    with pytest.raises(ValueError):
+        characters.SUMS.series(5, 2, partition_batches, -1, 2)
+    assert not characters.SUMS and not characters.SUMS.counts
+
+    def breaks_on_resume(max_weight, *, above=None):
+        if above is not None:
+            raise RuntimeError("no resume")
+        yield from partition_batches(max_weight, None, 2)
+
+    key = (2, breaks_on_resume, ())
+    walked = characters.SUMS.series(5, *key[:2]).coeffs
+    with pytest.raises(RuntimeError):
+        characters.SUMS.series(12, *key[:2])
+    counts = characters.SUMS.counts[key]
+    assert (counts.walks, counts.resumes, counts.reads) == (1, 0, 0)
+    assert counts.shapes == sum(1 for _ in enum_partitions(5, None, 2))
+    assert tuple(characters.SUMS[key]) == walked
+    assert list(characters.SUMS.counts) == [key]
+
+
 def test_resumed_tall_ospB_equals_the_closed_osp1_route():
     # the closed route divides out a numerator and reads no graded sum
     clear_tables()
