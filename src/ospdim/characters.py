@@ -9,18 +9,15 @@ the bottom graded piece.  Every branching sum is one plain gl(k) kernel,
 `_branching_sum`, over the sibling batches of a partition family: it reads
 one row of gl(k) dimensions per batch.  The even-multiplicity family and
 so(2k)'s shapes under a head row come as one-child batches.  One
-process-wide owner, `SUMS`, calls the family's stream and keeps each sum,
-as exact ints, keyed by (k, stream, bounds), with counts per key of walks,
-resumes, reads and shapes summed.  A request at or below the held order
-reads a prefix; a higher one resumes, streaming only the shapes heavier
-than the held order.  So builders that stream one family at one gl(k) read
-one sum: both sides of ospB-vs-soOdd, ospD-vs-soEven and ospD-vs-sp, which
-compared one sum with itself before the table too (ROADMAP item 1).  The
-closed routes never read the table.  Builders return the +t grading;
-identities that need t -> -t apply substitute_neg_t explicitly at the
-comparison site.  The one use inside a builder is a tall (m < n) osp sum:
-a gl(n-m) sum over the conjugate shapes, taken at -t for the
-superdimension's sign (-1)^|lambda|.
+process-wide owner, `SUMS`, calls the family's stream and keeps each sum as
+a `GradedSum` record keyed by (k, stream, bounds); `GradedSums` says how a
+request reads or resumes it.  So builders that stream one family at one
+gl(k) read one sum: both sides of ospB-vs-soOdd, ospD-vs-soEven and
+ospD-vs-sp (ROADMAP item 1).  The closed routes never read the table.
+Builders return the +t grading; identities that need t -> -t apply
+substitute_neg_t explicitly at the comparison site.  The one use inside a
+builder is the tall (m < n) ospB sum: a gl(n-m) sum over the conjugate
+shapes, taken at -t for the superdimension's sign (-1)^|lambda|.
 
 Two tables name everything the package can build and check.  FAMILIES has
 one row per family: the rule of each parameter, its algebra and Dynkin-label
@@ -39,7 +36,6 @@ for a series), osp1_numerator and cummins_king_check against their own rules.
 from __future__ import annotations
 
 import random
-from collections import defaultdict
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from functools import cached_property
@@ -66,9 +62,8 @@ def _branching_sum(coeffs: list[int], k: int, batches: Batches) -> int:
     """Add, for each (parent, weight, cs) batch, the gl(k) dimension of
     parent + (c,) to coeffs[weight + c] for every c in cs: one row of
     `weyl_table(k)` per batch, filled or extended when missing or short.
-    Returns the number of shapes summed.  `SUMS` calls it with the whole
-    family on a first walk, and on a request above the held order with
-    only the shapes heavier than that order: a higher request resumes."""
+    Returns the number of shapes summed.  `SUMS` calls it on a walk and on
+    a resume; `GradedSums` says which shapes each streams."""
     rows = weyl_table(k)
     get, fill = rows.get, rows.row
     shapes = 0
@@ -83,11 +78,13 @@ def _branching_sum(coeffs: list[int], k: int, batches: Batches) -> int:
 
 
 @dataclass(slots=True)
-class SumCounts:
-    """What `SUMS` did for one key: walks from weight 0, resumes above the
-    held order, reads at or below it, and the shapes its walks and resumes
-    summed."""
+class GradedSum:
+    """One held gl(k) sum: its coefficients through the highest order asked
+    for so far, exact ints only, and what `SUMS` did for its key: walks
+    from weight 0, resumes above the held order, reads at or below it, and
+    the shapes its walks and resumes summed."""
 
+    coeffs: list[int]
     walks: int = 0
     resumes: int = 0
     reads: int = 0
@@ -95,47 +92,33 @@ class SumCounts:
 
 
 class GradedSums(dict):
-    """The process's graded gl(k) sums: (k, stream, bounds) -> the sum's
-    coefficients through the highest order asked for so far, exact ints
-    only, and in `counts` the SumCounts of each key, raised once a walk
-    or resume has stored its coefficients.
+    """The process's graded gl(k) sums: (k, stream, bounds) -> GradedSum.
 
     The coefficient of t^w does not depend on the order, so a request at
     or below the held order reads a prefix.  A higher one resumes: it
     streams only the shapes heavier than the held order (`above=`) and adds
-    them to a copy of the held coefficients.  No frontier of a walk is
-    kept, only the coefficients."""
-
-    __slots__ = ("counts",)
-
-    def __init__(self):
-        super().__init__()
-        self.counts: defaultdict[tuple, SumCounts] = defaultdict(SumCounts)
-
-    def clear(self) -> None:
-        super().clear()
-        self.counts.clear()
+    them to a copy of the held coefficients, which replace the held ones
+    once the kernel returns.  No frontier of a walk is kept, only the
+    coefficients.  A record is made only once a walk has summed its
+    shapes, so a refused or failed sum leaves no count."""
 
     def series(self, order: int, k: int, stream: Callable[..., Batches], *bounds) -> TruncatedSeries:
         """The gl(k) sum over stream(order, *bounds) through t^order."""
         key = (k, stream, bounds)
         held = self.get(key)
-        if held is not None and len(held) > order:
-            self.counts[key].reads += 1
-            return TruncatedSeries(held, order)
         if held is None:
-            held, above = [], None
-        else:
-            above = len(held) - 1
-        coeffs = held + [0] * (order + 1 - len(held))
-        shapes = _branching_sum(coeffs, k, stream(order, *bounds, above=above))
-        self[key] = coeffs
-        counts = self.counts[key]
-        if above is None:
-            counts.walks += 1
-        else:
-            counts.resumes += 1
-        counts.shapes += shapes
+            coeffs = [0] * (order + 1)
+            shapes = _branching_sum(coeffs, k, stream(order, *bounds))
+            self[key] = GradedSum(coeffs, walks=1, shapes=shapes)
+            return TruncatedSeries(coeffs, order)
+        if len(held.coeffs) > order:
+            held.reads += 1
+            return TruncatedSeries(held.coeffs, order)
+        above = len(held.coeffs) - 1
+        coeffs = held.coeffs + [0] * (order - above)
+        held.shapes += _branching_sum(coeffs, k, stream(order, *bounds, above=above))
+        held.coeffs = coeffs
+        held.resumes += 1
         return TruncatedSeries(coeffs, order)
 
 
@@ -209,11 +192,12 @@ def ospD_sdim_t(m: int, n: int, p: int, order: int = DEFAULT_ORDER) -> Truncated
     gl(m|n) level at +t: like the odd case but restricted to partitions in
     which every part value occurs an even number of times.  When m < n the
     gl(n-m) sum runs over their conjugates, the even-part shapes with at
-    most min(p, n-m) rows, and t -> -t puts in the sign, as for ospB."""
+    most min(p, n-m) rows.  Unlike ospB no t -> -t is needed: an even-part
+    shape has even weight, so the sign (-1)^|lambda| is always +1."""
     _check_family("ospD", m=m, n=n, p=p, order=order)
     if m >= n:
         return SUMS.series(order, m - n, doubled_batches, p, m - n)
-    return SUMS.series(order, n - m, evened_batches, min(p, n - m)).substitute_neg_t()
+    return SUMS.series(order, n - m, evened_batches, min(p, n - m))
 
 
 def _headed_batches(max_weight: int, head: int, max_len: int, *, above: int | None = None) -> Batches:

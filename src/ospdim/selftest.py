@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import comb
 from typing import Callable
 
@@ -278,17 +279,13 @@ SEEDED_CHECKS: list[tuple[str, Callable[[int], None]]] = [
 
 
 def run_selftest(seed: int = 0) -> list[CheckResult]:
+    runs = [(name, fn, "") for name, fn in CHECKS]
+    runs += [(name, partial(fn, seed), f"seed={seed}") for name, fn in SEEDED_CHECKS]
     results = []
-    for name, fn in CHECKS:
+    for name, fn, detail in runs:
         try:
             fn()
-            results.append(CheckResult(name, True, ""))
-        except AssertionError as exc:
-            results.append(CheckResult(name, False, str(exc)))
-    for name, fn in SEEDED_CHECKS:
-        try:
-            fn(seed)
-            results.append(CheckResult(name, True, f"seed={seed}"))
+            results.append(CheckResult(name, True, detail))
         except AssertionError as exc:
             results.append(CheckResult(name, False, str(exc)))
     return results

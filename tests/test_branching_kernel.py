@@ -242,7 +242,14 @@ def test_any_sequence_of_builds_and_orders_reads_what_fresh_tables_give():
         # every spec at every order, so each entry is read below, at and
         # above its held order; ranks this small share entries often
         calls = [(spec, order) for order in orders for spec in drawn]
+        clear_tables()
         got = [BUILDS[name][0](*args, order) for (name, *args), order in calls]
+        # each builder makes one owner call, and every spec reaches the
+        # highest order, so each record walked once and holds through it
+        records = list(characters.SUMS.values())
+        assert all(r.walks == 1 for r in records)
+        assert sum(r.walks + r.resumes + r.reads for r in records) == len(calls)
+        assert all(len(r.coeffs) - 1 == max(orders) for r in records)
         for ((name, *args), order), series_ in zip(calls, got):
             clear_tables()
             build, want = BUILDS[name]
@@ -289,8 +296,8 @@ def test_a_higher_order_resumes_and_sums_only_the_new_shapes(name):
     for order in RESUMED_ORDERS:
         got[order] = build(order)
         if order == low:
-            walked = characters.SUMS.counts[key].shapes
-    counts = characters.SUMS.counts[key]
+            walked = characters.SUMS[key].shapes
+    counts = characters.SUMS[key]
     assert (counts.walks, counts.resumes, counts.reads) == (1, 2, 0)
     assert walked == sum(1 for _ in shapes(low))
     assert counts.shapes - walked == sum(1 for lam in shapes(high) if lam.weight > low)
@@ -305,7 +312,7 @@ def test_a_refused_or_failed_sum_leaves_no_count():
     clear_tables()
     with pytest.raises(ValueError):
         characters.SUMS.series(5, 2, partition_batches, -1, 2)
-    assert not characters.SUMS and not characters.SUMS.counts
+    assert not characters.SUMS
 
     def breaks_on_resume(max_weight, *, above=None):
         if above is not None:
@@ -316,11 +323,11 @@ def test_a_refused_or_failed_sum_leaves_no_count():
     walked = characters.SUMS.series(5, *key[:2]).coeffs
     with pytest.raises(RuntimeError):
         characters.SUMS.series(12, *key[:2])
-    counts = characters.SUMS.counts[key]
+    counts = characters.SUMS[key]
     assert (counts.walks, counts.resumes, counts.reads) == (1, 0, 0)
     assert counts.shapes == sum(1 for _ in enum_partitions(5, None, 2))
-    assert tuple(characters.SUMS[key]) == walked
-    assert list(characters.SUMS.counts) == [key]
+    assert tuple(characters.SUMS[key].coeffs) == walked
+    assert list(characters.SUMS) == [key]
 
 
 def test_resumed_tall_ospB_equals_the_closed_osp1_route():
@@ -332,5 +339,5 @@ def test_resumed_tall_ospB_equals_the_closed_osp1_route():
             for order in (10, 20, 30):
                 assert ospB_sdim_t(1, 1 + k, p, order).coeffs == closed.coeffs[: order + 1], (k, p, order)
             # each p > k shares the key of p = k and only reads it
-            counts = characters.SUMS.counts[(k, partition_batches, (None, min(p, k)))]
+            counts = characters.SUMS[(k, partition_batches, (None, min(p, k)))]
             assert (counts.walks, counts.resumes) == (1, 2)

@@ -121,6 +121,8 @@ def test_doubled_and_evened_images_match_B_and_D(w, a, b):
     evened = [t for t, _ in _shapes(evened_batches(w, b))]
     assert len(evened) == len(set(evened))
     assert set(evened) == {lam.parts for lam in enum_D(w, b)}
+    # so the tall ospD sum needs no t -> -t: its sign (-1)^|lambda| is +1
+    assert all(weight % 2 == 0 for _, weight in _shapes(evened_batches(w, b)))
 
 
 def check_once_after_parent(stream):
