@@ -13,7 +13,10 @@ process-wide owner, `SUMS`, calls the family's stream and keeps each sum as
 a `GradedSum` record keyed by (k, stream, bounds); `GradedSums` says how a
 request reads or resumes it.  So builders that stream one family at one
 gl(k) read one sum: both sides of ospB-vs-soOdd, ospD-vs-soEven and
-ospD-vs-sp (ROADMAP item 1).  The closed routes never read the table.
+ospD-vs-sp (ROADMAP item 1).  The closed routes never read the table:
+the osp(1|2n) numerator is a sum of its own over Frobenius forms, kept per
+(n, p, degree clipped to the order) apart from `SUMS`, and the closed forms
+divide it by their (1 - t^j) factors one running sum at a time.
 Builders return the +t grading; identities that need t -> -t apply
 substitute_neg_t explicitly at the comparison site.  The one use inside a
 builder is the tall (m < n) ospB sum: a gl(n-m) sum over the conjugate
@@ -38,7 +41,7 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import inf
 from typing import Callable, NamedTuple, Sequence
 
@@ -131,16 +134,25 @@ def osp1_numerator(n: int, p: int, order: int = DEFAULT_ORDER) -> TruncatedSerie
     A signed sum of gl(n) dimensions over the Frobenius forms (a | a + p):
     the form with arms a and rank r contributes at t^(2|a| + (p+1)r).  For
     p >= n the polynomial is 1.  For p = 0 it factors as
-    (1-t)^n (1-t^2)^(n(n-1)/2), and for p = 1 as (1-t^2)^(n(n-1)/2).
+    (1-t)^n (1-t^2)^(n(n-1)/2), and for p = 1 as (1-t^2)^(n(n-1)/2).  Its
+    full degree is max(n - p, 0) * n; the sum is kept per (n, p) and that
+    degree clipped to the order, so a low order never sums the high forms.
     """
     _check_params("function", "osp1_numerator", {"n": 0, "p": 0, "order": 0},
                   {"n": n, "p": p, "order": order})
-    coeffs = [0] * (order + 1)
+    degree = min(order, max(n - p, 0) * n)
+    return TruncatedSeries(_osp1_numerator_coeffs(n, p, degree), order)
+
+
+@cache
+def _osp1_numerator_coeffs(n: int, p: int, degree: int) -> tuple[int, ...]:
+    """The coefficients of t^0 .. t^degree of `osp1_numerator(n, p)`."""
+    coeffs = [0] * (degree + 1)
     for form, sign in enum_offset_forms(n, p):
         exp = 2 * sum(form.arms) + (p + 1) * form.rank
-        if exp <= order:
+        if exp <= degree:
             coeffs[exp] += sign * dim_gl_frobenius(n, form) if form.rank else sign
-    return TruncatedSeries(coeffs, order)
+    return tuple(coeffs)
 
 
 def osp1_dim_t(
@@ -151,14 +163,14 @@ def osp1_dim_t(
 
     route="sum" accumulates gl(n) dimensions over partitions with at most
     min(n, p) rows; route="closed" divides the numerator polynomial by
-    (1-t)^n (1-t^2)^(n(n-1)/2).  The two routes agree identically and are
-    kept separate on purpose.
+    (1-t)^n (1-t^2)^(n(n-1)/2), one factor at a time: n running sums, then
+    n(n-1)/2 running sums over every other coefficient.  The two routes
+    agree identically and are kept separate on purpose.
     """
     _check_family("osp1", n=n, p=p, order=order, route=route)
     if route == "sum":
         return SUMS.series(order, n, partition_batches, None, min(n, p))
-    den = polynomial([1, -1], order) ** n * polynomial([1, 0, -1], order) ** (n * (n - 1) // 2)
-    return osp1_numerator(n, p, order) / den
+    return osp1_numerator(n, p, order).over_one_minus(1, n).over_one_minus(2, n * (n - 1) // 2)
 
 
 def ospB_sdim_t(m: int, n: int, p: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
@@ -240,10 +252,10 @@ def sp_dim_t(k: int, p: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
 
 def spinor_tdim(m: int, n: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """t-dimension 2^m/(1-t)^n of the spinor representation of osp(2m|2n),
-    graded by polynomial degree in the n bosonic generators."""
+    graded by polynomial degree in the n bosonic generators: the constant
+    2^m divided by (1-t) n times, each time one running sum."""
     _check_family("spinor", m=m, n=n, order=order)
-    num = TruncatedSeries([2**m], order)
-    return num / polynomial([1, -1], order) ** n
+    return TruncatedSeries([2**m], order).over_one_minus(1, n)
 
 
 def spinor_sdim(m: int, n: int) -> Fraction:

@@ -7,7 +7,9 @@ den == 1 and its arithmetic never leaves the integers.  Fractions appear only
 at the boundary (`coeffs`, `coefficient`, `eval_at_one`, rendering and JSON);
 the arithmetic works on the numerators.  Products loop over the nonzero terms
 only, and division is one integer long division that visits only the
-divisor's nonzero terms.
+divisor's nonzero terms.  Division by (1 - t^j)^e, the denominators of the
+closed forms, needs no long division: `over_one_minus` runs e strided
+running sums nums[k] += nums[k - j] over the numerators.
 
 Arithmetic between series of different orders truncates to the smaller order,
 which is recorded in the result; nothing is ever rounded.
@@ -16,6 +18,7 @@ which is recorded in the result; nothing is ever rounded.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -186,6 +189,24 @@ class TruncatedSeries:
             quot[k] *= db * power
             power *= b0
         return _make(quot, self._den * power)
+
+    def over_one_minus(self, j: int, times: int = 1) -> "TruncatedSeries":
+        """The series divided by (1 - t^j)^times.  Each factor is one
+        strided running sum nums[k] += nums[k - j], taken as a running sum
+        over each residue class mod j.  The denominator stays, and since each
+        step is unimodular the numerators stay coprime to it."""
+        if type(j) is not int or j < 1:
+            raise ValueError(f"j must be an int >= 1, got {j!r}")
+        if type(times) is not int or times < 0:
+            raise ValueError(f"times must be an int >= 0, got {times!r}")
+        nums = list(self._nums)
+        for _ in range(times):
+            for r in range(min(j, len(nums))):
+                nums[r::j] = accumulate(nums[r::j])
+        out = object.__new__(TruncatedSeries)
+        out._nums = tuple(nums)
+        out._den = self._den
+        return out
 
     def __pow__(self, exponent: int) -> "TruncatedSeries":
         if type(exponent) is not int:

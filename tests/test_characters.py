@@ -1,8 +1,10 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from ospdim import characters
 from ospdim.characters import (
     CASES,
     CorrespondenceReport,
@@ -25,6 +27,8 @@ from ospdim.characters import (
     spinor_tdim,
     verify_correspondence,
 )
+from ospdim.partitions import enum_offset_forms
+from ospdim.schur import dim_gl_frobenius, weyl_table
 from ospdim.series import TruncatedSeries, polynomial
 
 
@@ -106,6 +110,53 @@ class TestNumerator:
         with pytest.raises(ValueError):
             osp1_numerator(2, -1)
 
+    @staticmethod
+    def uncached(n, p, order):
+        """The form loop with nothing kept between calls."""
+        coeffs = [0] * (order + 1)
+        for form, sign in enum_offset_forms(n, p):
+            exp = 2 * sum(form.arms) + (p + 1) * form.rank
+            if exp <= order:
+                coeffs[exp] += sign * dim_gl_frobenius(n, form) if form.rank else sign
+        return coeffs
+
+    def test_kept_sums_read_what_the_loop_gives_at_any_order(self):
+        # orders below, at and above the full degree, shuffled, so a kept
+        # sum is read at orders other than the one it was summed at
+        characters._osp1_numerator_coeffs.cache_clear()
+        rng = random.Random(23)
+        calls = [
+            (n, p, order)
+            for n in range(8)
+            for p in range(8)
+            for order in range(max(n - p, 0) * n + 4)
+        ]
+        rng.shuffle(calls)
+        for n, p, order in calls:
+            got = osp1_numerator(n, p, order)
+            assert got.order == order
+            assert list(got.coeffs) == self.uncached(n, p, order), (n, p, order)
+
+    def test_low_order_sums_only_the_low_forms(self, monkeypatch):
+        characters._osp1_numerator_coeffs.cache_clear()
+        calls = []
+
+        def counted(n, form):
+            calls.append(form)
+            return dim_gl_frobenius(n, form)
+
+        monkeypatch.setattr(characters, "dim_gl_frobenius", counted)
+        want = [
+            form
+            for form, _ in enum_offset_forms(12, 0)
+            if form.rank and 2 * sum(form.arms) + form.rank <= 6
+        ]
+        assert osp1_numerator(12, 0, 6) == polynomial(self.uncached(12, 0, 6), 6)
+        assert Counter(calls) == Counter(want)
+        # a second call reads the kept sum
+        osp1_numerator(12, 0, 6)
+        assert len(calls) == len(want)
+
 
 class TestOsp1:
     def test_printed_heads(self):
@@ -126,6 +177,16 @@ class TestOsp1:
                 s = osp1_dim_t(n, p, 12, route="sum")
                 c = osp1_dim_t(n, p, 12, route="closed")
                 assert s == c, (n, p)
+
+    def test_routes_agree_at_a_high_order_from_fresh_tables(self):
+        characters._osp1_numerator_coeffs.cache_clear()
+        characters.SUMS.clear()
+        weyl_table.cache_clear()
+        for n in range(1, 6):
+            for p in range(6):
+                s = osp1_dim_t(n, p, 60, route="sum")
+                c = osp1_dim_t(n, p, 60, route="closed")
+                assert (c.order, c.coeffs) == (s.order, s.coeffs), (n, p)
 
     def test_halfinteger_case_is_pure_geometric(self):
         # p = 1 caps shapes at one row, so the series is 1/(1-t)^n

@@ -1,5 +1,6 @@
 """Property-based tests of the series core, checked against a plain
-Fraction reference for products and quotients."""
+Fraction reference for products and quotients, and against long division
+for the running sums of `over_one_minus`."""
 
 from fractions import Fraction
 from math import gcd
@@ -9,7 +10,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from ospdim.series import TruncatedSeries  # noqa: E402
+from ospdim.series import TruncatedSeries, polynomial  # noqa: E402
 
 MAX_ORDER = 12
 CHECKS = settings(max_examples=60, deadline=None)
@@ -159,3 +160,30 @@ def test_coeffs_round_trip(cs, order):
 def test_integral_series_have_denominator_one(s):
     integral = all(c.denominator == 1 for c in s.coeffs)
     assert (s._den == 1) == integral
+
+
+@CHECKS
+@given(st.data())
+def test_over_one_minus_is_long_division_by_the_power(data):
+    order = data.draw(st.integers(0, MAX_ORDER))
+    s = data.draw(series(order))
+    j = data.draw(st.integers(1, order + 2))
+    times = data.draw(st.integers(0, 4))
+    got = s.over_one_minus(j, times)
+    want = s / polynomial([1] + [0] * (j - 1) + [-1], order) ** times
+    assert got.order == order
+    assert got.coeffs == want.coeffs
+    assert got._den == want._den
+    assert lowest_terms(got)
+
+
+@pytest.mark.parametrize("j", [0, -1, 1.0, True, "1", None])
+def test_over_one_minus_refuses_bad_j(j):
+    with pytest.raises(ValueError):
+        TruncatedSeries([1, 2, 3]).over_one_minus(j)
+
+
+@pytest.mark.parametrize("times", [-1, 1.0, True, "1", None])
+def test_over_one_minus_refuses_bad_times(times):
+    with pytest.raises(ValueError):
+        TruncatedSeries([1, 2, 3]).over_one_minus(1, times)
