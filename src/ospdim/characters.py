@@ -5,22 +5,21 @@ Every series here is exact: coefficients are integers (read back as Fractions)
 obtained from branching sums over constrained partition families or from
 closed-form rational expressions.  All series are normalized so that the
 lowest-weight prefactor is dropped and the constant term is the dimension of
-the bottom graded piece.  Every branching sum is one plain gl(k) kernel,
-`_branching_sum`, over the sibling batches of a partition family: it reads
-one row of gl(k) dimensions per batch.  The even-multiplicity family and
-so(2k)'s shapes under a head row come as one-child batches.  One
-process-wide owner, `SUMS`, calls the family's stream and keeps each sum as
-a `GradedSum` record keyed by (k, stream, bounds); `GradedSums` says how a
-request reads or resumes it.  So builders that stream one family at one
-gl(k) read one sum: both sides of ospB-vs-soOdd, ospD-vs-soEven and
-ospD-vs-sp (ROADMAP item 1).  The closed routes never read the table:
-the osp(1|2n) numerator is a sum of its own over Frobenius forms, kept per
-(n, p, degree clipped to the order) apart from `SUMS`, and the closed forms
-divide it by their (1 - t^j) factors one running sum at a time.
-Builders return the +t grading; identities that need t -> -t apply
-substitute_neg_t explicitly at the comparison site.  The one use inside a
-builder is the tall (m < n) ospB sum: a gl(n-m) sum over the conjugate
-shapes, taken at -t for the superdimension's sign (-1)^|lambda|.
+the bottom graded piece.  Every branching sum is one plain gl(k) sum over the
+sibling batches of a partition family: it reads one row of gl(k) dimensions
+per batch.  The even-multiplicity family and so(2k)'s shapes under a head row
+come as one-child batches.  One process-wide owner, `SUMS`, keeps each sum as
+a `GradedSum` record keyed by (k, stream, bounds), and `GradedSums.series`,
+the one place the loop runs, either reads a record or sums the family's stream
+above what it holds.  So builders that stream one family at one gl(k) read one
+sum: both sides of ospB-vs-soOdd, ospD-vs-soEven and ospD-vs-sp (ROADMAP item
+1).  The closed routes never read the table: the osp(1|2n) numerator is a sum
+of its own over Frobenius forms, kept per (n, p, degree clipped to the order)
+apart from `SUMS`, and the closed forms divide it by their (1 - t^j) factors
+one running sum at a time.  Builders return the +t grading; identities that
+need t -> -t apply substitute_neg_t explicitly at the comparison site.  The
+one use inside a builder is the tall (m < n) ospB sum: a gl(n-m) sum over the
+conjugate shapes, taken at -t for the superdimension's sign (-1)^|lambda|.
 
 Two tables name everything the package can build and check.  FAMILIES has
 one row per family: the rule of each parameter, its algebra and Dynkin-label
@@ -61,35 +60,15 @@ from .schur import dim_gl_frobenius, super_schur_eval, weyl_table
 from .series import DEFAULT_ORDER, TruncatedSeries, polynomial
 
 
-def _branching_sum(coeffs: list[int], k: int, batches: Batches) -> int:
-    """Add, for each (parent, weight, cs) batch, the gl(k) dimension of
-    parent + (c,) to coeffs[weight + c] for every c in cs: one row of
-    `weyl_table(k)` per batch, filled or extended when missing or short.
-    Returns the number of shapes summed.  `SUMS` calls it on a walk and on
-    a resume; `GradedSums` says which shapes each streams."""
-    rows = weyl_table(k)
-    get, fill = rows.get, rows.row
-    shapes = 0
-    for parent, weight, cs in batches:
-        row = get(parent)
-        if row is None or len(row) <= cs[0]:
-            row = fill(parent, cs[0])
-        for c in cs:
-            coeffs[weight + c] += row[c]
-        shapes += len(cs)
-    return shapes
-
-
 @dataclass(slots=True)
 class GradedSum:
     """One held gl(k) sum: its coefficients through the highest order asked
-    for so far, exact ints only, and what `SUMS` did for its key: walks
-    from weight 0, resumes above the held order, reads at or below it, and
-    the shapes its walks and resumes summed."""
+    for so far, exact ints only, and what `SUMS` did for its key: sums (the
+    first, which made the record, and each later one above the held
+    order), reads at or below it, and the shapes its sums added."""
 
     coeffs: list[int]
-    walks: int = 0
-    resumes: int = 0
+    sums: int = 0
     reads: int = 0
     shapes: int = 0
 
@@ -98,30 +77,40 @@ class GradedSums(dict):
     """The process's graded gl(k) sums: (k, stream, bounds) -> GradedSum.
 
     The coefficient of t^w does not depend on the order, so a request at
-    or below the held order reads a prefix.  A higher one resumes: it
-    streams only the shapes heavier than the held order (`above=`) and adds
-    them to a copy of the held coefficients, which replace the held ones
-    once the kernel returns.  No frontier of a walk is kept, only the
-    coefficients.  A record is made only once a walk has summed its
-    shapes, so a refused or failed sum leaves no count."""
+    or below the held order reads a prefix, and any other sums.  A missing
+    key counts as an empty record, and a sum streams only the shapes
+    heavier than the held order (`above=`), so a first walk is a resume
+    above nothing, with above=None.  Per (parent, weight, cs) batch it
+    reads one row of `weyl_table(k)`, filled or extended when missing or
+    short, and adds the gl(k) dimension of parent + (c,) to t^(weight + c)
+    of a copy of the held coefficients.  The record and its counts are
+    written only once the stream is spent, so a refused or failed sum
+    leaves no record and no count.  No frontier of a walk is kept, only
+    the coefficients."""
 
     def series(self, order: int, k: int, stream: Callable[..., Batches], *bounds) -> TruncatedSeries:
         """The gl(k) sum over stream(order, *bounds) through t^order."""
         key = (k, stream, bounds)
-        held = self.get(key)
-        if held is None:
-            coeffs = [0] * (order + 1)
-            shapes = _branching_sum(coeffs, k, stream(order, *bounds))
-            self[key] = GradedSum(coeffs, walks=1, shapes=shapes)
-            return TruncatedSeries(coeffs, order)
+        held = self.get(key) or GradedSum([])
         if len(held.coeffs) > order:
             held.reads += 1
             return TruncatedSeries(held.coeffs, order)
-        above = len(held.coeffs) - 1
-        coeffs = held.coeffs + [0] * (order - above)
-        held.shapes += _branching_sum(coeffs, k, stream(order, *bounds, above=above))
+        above = len(held.coeffs) - 1 if held.coeffs else None
+        coeffs = held.coeffs + [0] * (order - len(held.coeffs) + 1)
+        rows = weyl_table(k)
+        get, fill = rows.get, rows.row
+        shapes = 0
+        for parent, weight, cs in stream(order, *bounds, above=above):
+            row = get(parent)
+            if row is None or len(row) <= cs[0]:
+                row = fill(parent, cs[0])
+            for c in cs:
+                coeffs[weight + c] += row[c]
+            shapes += len(cs)
         held.coeffs = coeffs
-        held.resumes += 1
+        held.sums += 1
+        held.shapes += shapes
+        self[key] = held
         return TruncatedSeries(coeffs, order)
 
 
@@ -146,9 +135,14 @@ def osp1_numerator(n: int, p: int, order: int = DEFAULT_ORDER) -> TruncatedSerie
 
 @cache
 def _osp1_numerator_coeffs(n: int, p: int, degree: int) -> tuple[int, ...]:
-    """The coefficients of t^0 .. t^degree of `osp1_numerator(n, p)`."""
+    """The coefficients of t^0 .. t^degree of `osp1_numerator(n, p)`.  The
+    forms come in rising rank, and no form of rank r lies below t^(r(r + p)),
+    the exponent of arms (r - 1, ..., 0), so the loop stops at the first
+    rank past the degree."""
     coeffs = [0] * (degree + 1)
     for form, sign in enum_offset_forms(n, p):
+        if form.rank * (form.rank + p) > degree:
+            break
         exp = 2 * sum(form.arms) + (p + 1) * form.rank
         if exp <= degree:
             coeffs[exp] += sign * dim_gl_frobenius(n, form) if form.rank else sign

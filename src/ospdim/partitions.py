@@ -367,9 +367,10 @@ def enum_offset_forms(n: int, p: int) -> Iterator[tuple[FrobeniusForm, int]]:
 
     Yields (form, sign) pairs for every strictly decreasing arm sequence
     n - p - 1 >= a_1 > ... > a_r >= 0, r from 0 to n - p, with sign
-    (-1)**(sum(a) + r).  When p >= n the stream is the single pair
-    (empty form, +1).  The stream always has exactly 2**max(n - p, 0)
-    members.
+    (-1)**(sum(a) + r), in rising rank r: every form of rank r comes before
+    any of rank r + 1, a promise `osp1_numerator` stops on.  When p >= n
+    the stream is the single pair (empty form, +1).  The stream always has
+    exactly 2**max(n - p, 0) members.
     """
     _check_bounds(n=n, p=p)
     top = max(n - p, 0)

@@ -193,8 +193,9 @@ class TruncatedSeries:
     def over_one_minus(self, j: int, times: int = 1) -> "TruncatedSeries":
         """The series divided by (1 - t^j)^times.  Each factor is one
         strided running sum nums[k] += nums[k - j], taken as a running sum
-        over each residue class mod j.  The denominator stays, and since each
-        step is unimodular the numerators stay coprime to it."""
+        over each residue class mod j.  Each step is unimodular, so the
+        numerators stay coprime to the denominator and `_make` has nothing
+        to reduce."""
         if type(j) is not int or j < 1:
             raise ValueError(f"j must be an int >= 1, got {j!r}")
         if type(times) is not int or times < 0:
@@ -203,10 +204,7 @@ class TruncatedSeries:
         for _ in range(times):
             for r in range(min(j, len(nums))):
                 nums[r::j] = accumulate(nums[r::j])
-        out = object.__new__(TruncatedSeries)
-        out._nums = tuple(nums)
-        out._den = self._den
-        return out
+        return _make(nums, self._den)
 
     def __pow__(self, exponent: int) -> "TruncatedSeries":
         if type(exponent) is not int:

@@ -1,14 +1,14 @@
-"""Independent oracle for the shared branching kernel.
+"""Independent oracle for the shared branching sum, `characters.SUMS`.
 
 Each family builder is recomputed here the direct way: the public enum_*
 stream of Partition objects, weighted by the hook-content formula
-dim_gl_hook (not the Weyl rows of the kernel's table), with the sign and the
+dim_gl_hook (not the Weyl rows that the sums read), with the sign and the
 conjugate of the tall superdimension spelled out.  The oracle enumerates
 only the bounds that define each family and lets the hook-content product
 vanish on shapes with too many rows, so it does not reuse the builders'
 length bounds either.  The builders keep each graded sum for the life of
 the process, so the tests of that table clear it, with the gl(k) rows,
-wherever a fresh walk is meant, and the resume tests read its counts.
+wherever a first sum is meant, and the resume tests read its counts.
 """
 
 from functools import partial
@@ -245,10 +245,9 @@ def test_any_sequence_of_builds_and_orders_reads_what_fresh_tables_give():
         clear_tables()
         got = [BUILDS[name][0](*args, order) for (name, *args), order in calls]
         # each builder makes one owner call, and every spec reaches the
-        # highest order, so each record walked once and holds through it
+        # highest order, so each record holds through it
         records = list(characters.SUMS.values())
-        assert all(r.walks == 1 for r in records)
-        assert sum(r.walks + r.resumes + r.reads for r in records) == len(calls)
+        assert sum(r.sums + r.reads for r in records) == len(calls)
         assert all(len(r.coeffs) - 1 == max(orders) for r in records)
         for ((name, *args), order), series_ in zip(calls, got):
             clear_tables()
@@ -298,7 +297,7 @@ def test_a_higher_order_resumes_and_sums_only_the_new_shapes(name):
         if order == low:
             walked = characters.SUMS[key].shapes
     counts = characters.SUMS[key]
-    assert (counts.walks, counts.resumes, counts.reads) == (1, 2, 0)
+    assert (counts.sums, counts.reads) == (3, 0)
     assert walked == sum(1 for _ in shapes(low))
     assert counts.shapes - walked == sum(1 for lam in shapes(high) if lam.weight > low)
     assert list(characters.SUMS) == [key]
@@ -324,10 +323,29 @@ def test_a_refused_or_failed_sum_leaves_no_count():
     with pytest.raises(RuntimeError):
         characters.SUMS.series(12, *key[:2])
     counts = characters.SUMS[key]
-    assert (counts.walks, counts.resumes, counts.reads) == (1, 0, 0)
+    assert (counts.sums, counts.reads) == (1, 0)
     assert counts.shapes == sum(1 for _ in enum_partitions(5, None, 2))
     assert tuple(characters.SUMS[key].coeffs) == walked
     assert list(characters.SUMS) == [key]
+
+
+def test_a_sum_streams_above_the_held_order_and_a_read_never_streams():
+    # the first sum is a resume above nothing, and reads call no stream
+    clear_tables()
+    seen = []
+
+    def recorded(max_weight, *, above=None):
+        seen.append(above)
+        return partition_batches(max_weight, None, 2, above=above)
+
+    want = [characters.SUMS.series(order, 2, partition_batches, None, 2) for order in (5, 3, 5, 9)]
+    clear_tables()
+    got = [characters.SUMS.series(order, 2, recorded) for order in (5, 3, 5, 9)]
+    assert seen == [None, 5]
+    assert [g.coeffs for g in got] == [w.coeffs for w in want]
+    counts = characters.SUMS[(2, recorded, ())]
+    assert (counts.sums, counts.reads) == (2, 2)
+    assert counts.shapes == sum(1 for _ in enum_partitions(9, None, 2))
 
 
 def test_resumed_tall_ospB_equals_the_closed_osp1_route():
@@ -340,4 +358,4 @@ def test_resumed_tall_ospB_equals_the_closed_osp1_route():
                 assert ospB_sdim_t(1, 1 + k, p, order).coeffs == closed.coeffs[: order + 1], (k, p, order)
             # each p > k shares the key of p = k and only reads it
             counts = characters.SUMS[(k, partition_batches, (None, min(p, k)))]
-            assert (counts.walks, counts.resumes) == (1, 2)
+            assert counts.sums == 3

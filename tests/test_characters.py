@@ -157,6 +157,21 @@ class TestNumerator:
         osp1_numerator(12, 0, 6)
         assert len(calls) == len(want)
 
+    def test_low_order_draws_no_form_past_the_first_rank_too_heavy(self, monkeypatch):
+        # rank r lies at t^(r(r + p)) or above, so at degree 6 with p = 0
+        # the forms of rank 0 to 2 are drawn, and one of rank 3 ends the loop
+        characters._osp1_numerator_coeffs.cache_clear()
+        drawn = []
+
+        def counted(n, p):
+            for form, sign in enum_offset_forms(n, p):
+                drawn.append(form.rank)
+                yield form, sign
+
+        monkeypatch.setattr(characters, "enum_offset_forms", counted)
+        assert osp1_numerator(14, 0, 6) == polynomial(self.uncached(14, 0, 6), 6)
+        assert Counter(drawn) == {0: 1, 1: 14, 2: 91, 3: 1}
+
 
 class TestOsp1:
     def test_printed_heads(self):
