@@ -14,12 +14,13 @@ the one place the loop runs, either reads a record or sums the family's stream
 above what it holds.  So builders that stream one family at one gl(k) read one
 sum: both sides of ospB-vs-soOdd, ospD-vs-soEven and ospD-vs-sp (ROADMAP item
 1).  The closed routes never read the table: the osp(1|2n) numerator is a sum
-of its own over Frobenius forms, kept per (n, p, degree clipped to the order)
-apart from `SUMS`, and the closed forms divide it by their (1 - t^j) factors
-one running sum at a time.  Builders return the +t grading; identities that
-need t -> -t apply substitute_neg_t explicitly at the comparison site.  The
-one use inside a builder is the tall (m < n) ospB sum: a gl(n-m) sum over the
-conjugate shapes, taken at -t for the superdimension's sign (-1)^|lambda|.
+of its own over the Frobenius forms that reach the order, kept per (n, p,
+degree clipped to the order) apart from `SUMS`, and every closed form is
+divided by its (1 - t^j) factors one running sum at a time, never by long
+division.  Builders return the +t grading; identities that need t -> -t apply
+substitute_neg_t explicitly at the comparison site.  The one use inside a
+builder is the tall (m < n) ospB sum: a gl(n-m) sum over the conjugate shapes,
+taken at -t for the superdimension's sign (-1)^|lambda|.
 
 Two tables name everything the package can build and check.  FAMILIES has
 one row per family: the rule of each parameter, its algebra and Dynkin-label
@@ -44,10 +45,11 @@ from functools import cache, cached_property
 from math import inf
 from typing import Callable, NamedTuple, Sequence
 
-# enum_D and enum_partitions stay importable here for bench/layertrace.py
+# enum_D, enum_offset_forms and enum_partitions stay importable for bench/layertrace.py
 from .partitions import (
     Batches,
     Partition,
+    _offset_forms,
     doubled_batches,
     enum_B,
     enum_D,
@@ -80,13 +82,12 @@ class GradedSums(dict):
     or below the held order reads a prefix, and any other sums.  A missing
     key counts as an empty record, and a sum streams only the shapes
     heavier than the held order (`above=`), so a first walk is a resume
-    above nothing, with above=None.  Per (parent, weight, cs) batch it
-    reads one row of `weyl_table(k)`, filled or extended when missing or
-    short, and adds the gl(k) dimension of parent + (c,) to t^(weight + c)
-    of a copy of the held coefficients.  The record and its counts are
-    written only once the stream is spent, so a refused or failed sum
-    leaves no record and no count.  No frontier of a walk is kept, only
-    the coefficients."""
+    above nothing, with above=None.  Per (parent, weight, cs) batch it reads
+    the row `weyl_table(k).row(parent, cs[0])` and adds the gl(k) dimension
+    of parent + (c,) to t^(weight + c) of a copy of the held coefficients.
+    The record and its counts are written only once the stream is spent,
+    so a refused or failed sum leaves no record and no count.  No frontier
+    of a walk is kept, only the coefficients."""
 
     def series(self, order: int, k: int, stream: Callable[..., Batches], *bounds) -> TruncatedSeries:
         """The gl(k) sum over stream(order, *bounds) through t^order."""
@@ -97,15 +98,12 @@ class GradedSums(dict):
             return TruncatedSeries(held.coeffs, order)
         above = len(held.coeffs) - 1 if held.coeffs else None
         coeffs = held.coeffs + [0] * (order - len(held.coeffs) + 1)
-        rows = weyl_table(k)
-        get, fill = rows.get, rows.row
+        row = weyl_table(k).row
         shapes = 0
         for parent, weight, cs in stream(order, *bounds, above=above):
-            row = get(parent)
-            if row is None or len(row) <= cs[0]:
-                row = fill(parent, cs[0])
+            dims = row(parent, cs[0])
             for c in cs:
-                coeffs[weight + c] += row[c]
+                coeffs[weight + c] += dims[c]
             shapes += len(cs)
         held.coeffs = coeffs
         held.sums += 1
@@ -125,7 +123,7 @@ def osp1_numerator(n: int, p: int, order: int = DEFAULT_ORDER) -> TruncatedSerie
     p >= n the polynomial is 1.  For p = 0 it factors as
     (1-t)^n (1-t^2)^(n(n-1)/2), and for p = 1 as (1-t^2)^(n(n-1)/2).  Its
     full degree is max(n - p, 0) * n; the sum is kept per (n, p) and that
-    degree clipped to the order, so a low order never sums the high forms.
+    degree clipped to the order, so a low order never draws the high forms.
     """
     _check_params("function", "osp1_numerator", {"n": 0, "p": 0, "order": 0},
                   {"n": n, "p": p, "order": order})
@@ -135,17 +133,12 @@ def osp1_numerator(n: int, p: int, order: int = DEFAULT_ORDER) -> TruncatedSerie
 
 @cache
 def _osp1_numerator_coeffs(n: int, p: int, degree: int) -> tuple[int, ...]:
-    """The coefficients of t^0 .. t^degree of `osp1_numerator(n, p)`.  The
-    forms come in rising rank, and no form of rank r lies below t^(r(r + p)),
-    the exponent of arms (r - 1, ..., 0), so the loop stops at the first
-    rank past the degree."""
+    """The coefficients of t^0 .. t^degree of `osp1_numerator(n, p)`, over
+    only the forms that reach one."""
     coeffs = [0] * (degree + 1)
-    for form, sign in enum_offset_forms(n, p):
-        if form.rank * (form.rank + p) > degree:
-            break
+    for form, sign in _offset_forms(max(n - p, 0), p, degree):
         exp = 2 * sum(form.arms) + (p + 1) * form.rank
-        if exp <= degree:
-            coeffs[exp] += sign * dim_gl_frobenius(n, form) if form.rank else sign
+        coeffs[exp] += sign * dim_gl_frobenius(n, form) if form.rank else sign
     return tuple(coeffs)
 
 
@@ -262,11 +255,9 @@ def spinor_sdim(m: int, n: int) -> Fraction:
 def _d21_branches(p: int) -> list[tuple[int, int]]:
     """(offset, dimension) of each su(2)+su(2) branch in the decomposition
     of the D(2,1;alpha) irrep [0,0,p]; the branch at offset o occupies
-    levels o, o+2, o+4, ..."""
-    if p == 1:
-        labels = [(0, (0, 1)), (1, (1, 0))]
-    else:
-        labels = [(0, (0, p)), (1, (1, p - 1)), (2, (0, p - 2))]
+    levels o, o+2, o+4, ...  At p = 1 the third label (0, -1) has
+    dimension (0 + 1)(-1 + 1) = 0, so p = 1 needs no rule of its own."""
+    labels = [(0, (0, p)), (1, (1, p - 1)), (2, (0, p - 2))]
     return [(o, (a + 1) * (b + 1)) for o, (a, b) in labels]
 
 
@@ -285,11 +276,11 @@ def d21_sdim_t(p: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
 
 
 def d21_sdim_closed(p: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
-    """Closed form (1-p) + 2p/(1+t) = ((1+p) + (1-p)t)/(1+t) of the same
-    series, taken as one quotient; its value at t=1 is 1 for every p,
-    matching the dimension of the so(2) irrep [p]."""
+    """Closed form (1-p) + 2p/(1+t) = ((1+p) - 2p t + (p-1)t^2)/(1-t^2) of
+    the same series, one running sum over every other coefficient; its value
+    at t=1 is 1 for every p, matching the dimension of the so(2) irrep [p]."""
     _check_family("d21", p=p, order=order)
-    return polynomial([1 + p, 1 - p], order) / polynomial([1, 1], order)
+    return polynomial([1 + p, -2 * p, p - 1], order).over_one_minus(2)
 
 
 # -- the family table and irrep specifications -------------------------------

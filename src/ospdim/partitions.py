@@ -7,24 +7,24 @@ A part or Frobenius coordinate must be an int: a float, string or bool raises
 ValueError rather than being rounded or cast.
 
 The non-recursive depth-first walker `_preorder` walks the tree in which a
-partition's children append one part no larger than its last.  Sibling
-batches are the only stream it gives: a batch `(parent, weight, cs)` is
-the children parent + (c,) for c in the range cs, largest first, each of
-weight weight + c; a last row c = 0 is no row, so the root batch
-((), 0, (0,)) stands for the empty shape.  A node's batch comes as the
-walk expands it, so every shape comes after its parent parts[:-1] and
-within a fixed weight the shapes are lexicographically descending, but
-weights interleave and the raw order is otherwise not promised.
-`partition_batches` streams these batches, as does `evened_batches`, the
-same walk taken in steps of two for the even-part family;
-`doubled_batches` gives each shape of the even-multiplicity family, the
-doubled image of a half-weight walk, as a one-child batch whose parent is
-the shape without its last row.  The two families are each other's
-conjugates, as are the shapes with lambda_1 <= q and those with at most q
-rows, so a tall sum streams the conjugate family directly and never
-conjugates a shape.  Only the public `enum_*` functions promise
-weight-ascending order: they expand the batches, sort the shapes stably
-by weight and wrap each in a `Partition`.
+partition's children append one part no larger than its last.  Sibling batches
+are the only stream it gives: a batch `(parent, weight, cs)` is the children
+parent + (c,) for c in the range cs, largest first, each of weight weight + c;
+a last row c = 0 is no row, so the root batch ((), 0, (0,)) stands for the
+empty shape.  A node's batch comes as the walk expands it, so every shape
+comes after its parent parts[:-1] and within a fixed weight the shapes are
+lexicographically descending, but weights interleave and the raw order is
+otherwise not promised.  `partition_batches` streams these batches, as does
+`evened_batches`, the same walk taken in steps of two for the even-part
+family; `doubled_batches` gives each shape of the even-multiplicity family,
+the doubled image of a half-weight walk, as a one-child batch whose parent is
+the shape without its last row.  The two families are each other's conjugates,
+as are the shapes with lambda_1 <= q and those with at most q rows, so a tall
+sum streams the conjugate family directly and never conjugates a shape.
+`subpartitions` keeps the shapes of lam's bounding box that lam contains, and
+`enum_offset_forms` adds r - i to row i of each shape in rank r's box.  Only
+the public `enum_*` functions promise weight-ascending order: they expand the
+batches, sort the shapes stably by weight and wrap each in a `Partition`.
 Unbounded constraints are passed as None, never as a magic integer; a bound
 that is negative or not an int raises ValueError on the call, not on first
 use.
@@ -33,7 +33,7 @@ use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -237,39 +237,34 @@ def partition_batches(
     above, only the shapes heavier than it, in the same relative order."""
     _check_bounds(max_part=max_part, max_len=max_len, max_weight=max_weight, above=above)
     part_cap = max_weight if max_part is None else max_part
-    len_cap = max_weight if max_len is None else min(max_len, max_weight)
-    return _preorder(max_weight, (part_cap,) * len_cap, 1, -1 if above is None else above)
+    rows = max_weight if max_len is None else min(max_len, max_weight)
+    return _preorder(max_weight, part_cap, rows, 1, -1 if above is None else above)
 
 
-def _preorder(max_weight: int, caps: tuple[int, ...], step: int = 1, above: int = -1) -> Batches:
-    """The shapes heavier than above with row i at most caps[i], at most
-    len(caps) rows, weight at most max_weight and every part a multiple of
+def _preorder(max_weight: int, part_cap: int, rows: int, step: int, above: int) -> Batches:
+    """The shapes heavier than above with parts at most part_cap, at most
+    rows rows, weight at most max_weight and every part a multiple of
     step, as sibling batches: ROOT if above < 0, then the children of each
     node as the walk expands it, largest first, each batch cut to the
     children heavier than above and left out when none is.  max_weight and
-    the caps must be multiples of step and the caps, past the first,
-    positive.
+    part_cap must be multiples of step.
 
     Only children with room to grow are pushed, smallest first, so the
     largest child's subtree is done before its next sibling is expanded.
     A child c in row i holds at most c in each of its rows - i rows, so one
     with weight + c * (rows - i) <= above is not pushed: a resumed walk
-    skips every subtree whose heaviest shape is no heavier than above,
-    exactly so when the caps are equal.
+    skips exactly the subtrees with no shape heavier than above.
     """
     if above < 0:
         yield ROOT
-    rows = len(caps)
-    grows = rows and min(caps[0], max_weight) >= step and min(caps[0] * rows, max_weight) > above
+    grows = rows and min(part_cap, max_weight) >= step and min(part_cap * rows, max_weight) > above
     stack = [((), 0)] if grows else []
     pop, push = stack.pop, stack.extend
     while stack:
         parts, weight = pop()
         i = len(parts)
         room = max_weight - weight
-        top = parts[-1] if i else caps[0]
-        if caps[i] < top:
-            top = caps[i]
+        top = parts[-1] if i else part_cap
         if room < top:
             top = room
         grow = room - step
@@ -319,8 +314,8 @@ def evened_batches(
     with above, only the shapes heavier than it."""
     _check_bounds(max_len=max_len, max_weight=max_weight, above=above)
     half = max_weight // 2
-    len_cap = half if max_len is None else min(max_len, half)
-    return _preorder(2 * half, (2 * half,) * len_cap, 2, -1 if above is None else above)
+    rows = half if max_len is None else min(max_len, half)
+    return _preorder(2 * half, 2 * half, rows, 2, -1 if above is None else above)
 
 
 def _by_weight(batches: Batches) -> Iterator[Partition]:
@@ -368,14 +363,25 @@ def enum_offset_forms(n: int, p: int) -> Iterator[tuple[FrobeniusForm, int]]:
     Yields (form, sign) pairs for every strictly decreasing arm sequence
     n - p - 1 >= a_1 > ... > a_r >= 0, r from 0 to n - p, with sign
     (-1)**(sum(a) + r), in rising rank r: every form of rank r comes before
-    any of rank r + 1, a promise `osp1_numerator` stops on.  When p >= n
-    the stream is the single pair (empty form, +1).  The stream always has
-    exactly 2**max(n - p, 0) members.
+    any of rank r + 1.  When p >= n the stream is the single pair (empty
+    form, +1).  The stream always has exactly 2**max(n - p, 0) members.
     """
     _check_bounds(n=n, p=p)
-    top = max(n - p, 0)
-    return ((FrobeniusForm(arms, tuple(a + p for a in arms)), -1 if (sum(arms) + r) % 2 else 1)
-            for r in range(top + 1) for arms in combinations(range(top - 1, -1, -1), r))
+    return _offset_forms(max(n - p, 0), p)
+
+
+def _offset_forms(top: int, p: int, degree: int | None = None) -> Iterator[tuple[FrobeniusForm, int]]:
+    """The signed forms (a | a + p), arms below top, in rising rank: rank r's
+    arms are b_i + r - i over the shapes b in r rows of top - r columns and,
+    with degree, of weight within 2|a| + (p+1)r <= degree, if any."""
+    for r in range(top + 1):
+        budget = (top - r) * r if degree is None else (degree - (p + 1) * r) // 2 - r * (r - 1) // 2
+        if budget < 0:
+            return
+        for parts, weight in _shapes(partition_batches(budget, top - r, r)):
+            arms = tuple(b + r - 1 - i for i, b in enumerate(parts + (0,) * (r - len(parts))))
+            sign = -1 if (weight + r * (r + 1) // 2) % 2 else 1
+            yield FrobeniusForm(arms, tuple(a + p for a in arms)), sign
 
 
 def subpartitions(lam: Partition, max_len: int | None = None) -> Iterator[Partition]:
@@ -383,4 +389,5 @@ def subpartitions(lam: Partition, max_len: int | None = None) -> Iterator[Partit
     most max_len parts, each once and in no promised order."""
     _check_partition(lam)
     _check_bounds(max_len=max_len)
-    return (Partition(parts) for parts, _ in _shapes(_preorder(lam.weight, lam.parts[:max_len])))
+    shapes = _shapes(partition_batches(lam.weight, lam[0], len(lam.parts[:max_len])))
+    return (Partition(parts) for parts, _ in shapes if all(b <= lam[i] for i, b in enumerate(parts)))

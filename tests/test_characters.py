@@ -157,20 +157,21 @@ class TestNumerator:
         osp1_numerator(12, 0, 6)
         assert len(calls) == len(want)
 
-    def test_low_order_draws_no_form_past_the_first_rank_too_heavy(self, monkeypatch):
-        # rank r lies at t^(r(r + p)) or above, so at degree 6 with p = 0
-        # the forms of rank 0 to 2 are drawn, and one of rank 3 ends the loop
+    def test_low_order_draws_only_the_forms_that_reach_a_coefficient(self, monkeypatch):
+        # at degree 6 with p = 0 those are the empty form, arms (0), (1), (2)
+        # at t, t^3, t^5 and arms (1, 0), (2, 0) at t^4, t^6: no form of rank 3
         characters._osp1_numerator_coeffs.cache_clear()
         drawn = []
 
-        def counted(n, p):
-            for form, sign in enum_offset_forms(n, p):
-                drawn.append(form.rank)
+        def counted(top, p, degree=None):
+            for form, sign in offset_forms(top, p, degree):
+                drawn.append(form.arms)
                 yield form, sign
 
-        monkeypatch.setattr(characters, "enum_offset_forms", counted)
+        offset_forms = characters._offset_forms
+        monkeypatch.setattr(characters, "_offset_forms", counted)
         assert osp1_numerator(14, 0, 6) == polynomial(self.uncached(14, 0, 6), 6)
-        assert Counter(drawn) == {0: 1, 1: 14, 2: 91, 3: 1}
+        assert sorted(drawn) == [(), (0,), (1,), (1, 0), (2,), (2, 0)]
 
 
 class TestOsp1:
@@ -424,8 +425,10 @@ class TestD21:
         assert str(d21_sdim_t(3, 4)) == "4 - 6t + 6t^2 - 6t^3 + 6t^4"
 
     def test_branch_sum_matches_closed_form(self):
-        for p in range(1, 7):
-            assert d21_sdim_t(p, 12) == d21_sdim_closed(p, 12), p
+        # p = 1 included, where the third branch label (0, -1) has dimension 0
+        for p in range(1, 9):
+            for order in (12, 200):
+                assert d21_sdim_t(p, order) == d21_sdim_closed(p, order), (p, order)
 
     def test_value_at_one(self):
         # the closed form (1-p) + 2p/(1+t) evaluates to 1 at t = 1

@@ -154,6 +154,19 @@ class TestSeriesJson:
         assert json.loads(result.output) == expected
 
 
+@pytest.mark.parametrize(
+    "family, route, options", [row[:3] for row in SERIES], ids=[f"{f}-{r}" for f, r, _, _ in SERIES]
+)
+def test_no_route_long_divides(monkeypatch, family, route, options):
+    # every closed form divides by its (1 - t^j) factors as running sums
+    def refuse(self, other):
+        raise AssertionError(f"{family} {route} called TruncatedSeries.__truediv__")
+
+    monkeypatch.setattr(TruncatedSeries, "__truediv__", refuse)
+    series = FAMILIES[family].routes[route](IrrepSpec(family, **options), 30)
+    assert series.order == 30
+
+
 class TestUnusedOptionsRejected:
     def test_verify_examples(self):
         result = run("verify", "--case", "d21-vs-so2", "--p", "2", "--k", "99")
