@@ -23,6 +23,7 @@ from .schur import (
     schur_eval,
     sdim_gl,
     super_schur_eval,
+    super_schur_series,
 )
 from .series import DEFAULT_ORDER, TruncatedSeries, polynomial
 from .characters import (

@@ -58,7 +58,7 @@ from .partitions import (
     evened_batches,
     partition_batches,
 )
-from .schur import dim_gl_frobenius, super_schur_eval, weyl_table
+from .schur import dim_gl_frobenius, super_schur_series, weyl_table
 from .series import DEFAULT_ORDER, TruncatedSeries, polynomial
 
 
@@ -617,14 +617,12 @@ def _ck_product_side(xs: Sequence[Fraction], ys: Sequence[Fraction], order: int)
 
 
 def _ck_schur_side(xs: Sequence[Fraction], ys: Sequence[Fraction], order: int) -> TruncatedSeries:
-    """Sum over even-multiplicity partitions beta of s_beta(x|y) u^|beta|;
-    homogeneity places each term at the power equal to its weight."""
-    coeffs = [Fraction(0)] * (order + 1)
-    for beta in enum_B(order):
-        val = super_schur_eval(beta, xs, ys)
-        if val:
-            coeffs[beta.weight] += val
-    return TruncatedSeries(coeffs, order)
+    """Sum over even-multiplicity partitions beta of s_beta(x|y) u^|beta|,
+    homogeneity placing each term at the power equal to its weight: one
+    `super_schur_series` at the point, which scales it to integers and
+    builds its h and e rows once, then takes each shape's smaller
+    Jacobi-Trudi determinant, on the rows or on the columns."""
+    return super_schur_series(enum_B(order), xs, ys, order)
 
 
 def cummins_king_check(

@@ -11,13 +11,19 @@ a longer one.  The branching sums ask for the gl(n) dimensions of a
 parent's children together, on both sides of a correspondence and many
 times over; the hook-content and Frobenius formulas stay uncached.
 
-Schur polynomials are evaluated in one place, `super_schur_eval`: the
-supersymmetric Jacobi-Trudi determinant det(h_{lam_i-i+j}(x | y)), with
-sum_k h_k(x | y) u^k = prod (1 + y_j u) / prod (1 - x_i u), taken over the
-integers at the coordinates scaled by the lcm D of their denominators and
-divided by D^|lam|.  Littlewood-Richardson coefficients come from tableau
-enumeration, and no evaluation uses them.  A shape that is not a Partition,
-or a form that is not a FrobeniusForm, is refused with ValueError.
+Schur polynomials are evaluated by one per-point evaluator, which
+`super_schur_series` sums over many shapes, graded by weight, and
+`super_schur_eval` reads for one shape.  It checks the point (x | y) once,
+scales it to integers by the lcm D of its denominators, and builds at most
+one h row, sum_k h_k u^k = prod (1 + y_j u) / prod (1 - x_i u), and one e
+row, e_k(x | y) = h_k(y | x).  Each shape is then one integer Jacobi-Trudi
+determinant, the smaller of det(h_{lam_i-i+j}) on its rows and
+det(e_{lam'_i-i+j}) on its columns, as s_lam(x | y) = s_lam'(y | x)
+(Macdonald, Symmetric Functions and Hall Polynomials, I.3 and I.5), and
+each weight w's sum is divided by D^w once.  Littlewood-Richardson
+coefficients come from tableau enumeration, and no evaluation uses them.
+A shape that is not a Partition, or a form that is not a FrobeniusForm, is
+refused with ValueError.
 """
 
 from __future__ import annotations
@@ -25,10 +31,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import factorial, lcm
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 # subpartitions stays importable here for bench/layertrace.py
 from .partitions import FrobeniusForm, Partition, _check_partition, subpartitions
+from .series import TruncatedSeries
 
 
 class _WeylTable(dict):
@@ -290,46 +297,105 @@ def _bareiss_det(mat: list[list[int]]) -> int:
     return sign * mat[-1][-1]
 
 
+def _jt_row(evens: list, odds: list, d: int, top: int) -> list[int]:
+    """h_0 .. h_top at the coordinates scaled by d to integers, where
+    sum_k h_k u^k = prod_j (1 + d odds_j u) / prod_i (1 - d evens_i u).
+    With the two lists swapped it is the e row: e_k(x | y) = h_k(y | x)."""
+    h = [1] + [0] * top
+    for x in evens:
+        a = x.numerator * (d // x.denominator)
+        for k in range(1, top + 1):
+            h[k] += a * h[k - 1]
+    for y in odds:
+        b = y.numerator * (d // y.denominator)
+        for k in range(top, 0, -1):
+            h[k] += b * h[k - 1]
+    return h
+
+
+def super_schur_series(
+    shapes: Iterable[Partition], xs: Sequence, ys: Sequence, order: int
+) -> TruncatedSeries:
+    """The sum of s_lam(x | y) t^|lam| over the shapes, through t^order.
+
+    The point is checked, scaled and given its h and e rows once (see the
+    module docstring); each shape then costs one integer determinant of
+    size min(lam_1, len(lam)), and a shape outside the (m,n) fat hook,
+    lam_{m+1} > n, costs none.  A shape that is not a Partition or is
+    heavier than the order, an order that is not an int >= 0, and a
+    coordinate that is not an int or a Fraction, a bool included, are a
+    ValueError.
+    """
+    if type(order) is not int or order < 0:
+        raise ValueError(f"order must be an int >= 0, got {order!r}")
+    sums, d = _jacobi_trudi_sums(shapes, xs, ys, order)
+    return TruncatedSeries([Fraction(s, d**w) for w, s in enumerate(sums)], order)
+
+
+def _jacobi_trudi_sums(
+    shapes: Iterable[Partition], xs: Sequence, ys: Sequence, order: int
+) -> tuple[list[int], int]:
+    """The evaluator of `super_schur_series`: the sum of the shapes'
+    determinants at (D x | D y) at each weight 0..order, and D."""
+    xs, ys = list(xs), list(ys)
+    coords = xs + ys
+    for c in coords:
+        if type(c) is bool or not isinstance(c, (int, Fraction)):
+            raise ValueError(f"coordinates must be ints or Fractions, got {c!r}")
+    m, n = len(xs), len(ys)
+    sums = [0] * (order + 1)
+    # (weight, dual, the parts the determinant is taken on) per shape to evaluate
+    dets = []
+    tops = [0, 0]
+    for lam in shapes:
+        _check_partition(lam)
+        w = lam.weight
+        if w > order:
+            raise ValueError(f"shape {lam} is heavier than the order {order}")
+        if lam[m] > n:
+            continue
+        parts = lam.parts
+        if not parts:
+            sums[0] += 1
+            continue
+        dual = parts[0] < len(parts)
+        if dual:
+            # the columns, counted here: sdim_gl conjugates on a path of its own
+            parts = [sum(p > j for p in parts) for j in range(parts[0])]
+        tops[dual] = max(tops[dual], parts[0] + len(parts) - 1)
+        dets.append((w, dual, parts))
+    d = lcm(*(c.denominator for c in coords))
+    # the h row and the e row, e_k(x | y) = h_k(y | x); a form no shape takes gets none
+    rows = (
+        _jt_row(xs, ys, d, tops[0]) if tops[0] else None,
+        _jt_row(ys, xs, d, tops[1]) if tops[1] else None,
+    )
+    for w, dual, parts in dets:
+        row, ell = rows[dual], len(parts)
+        mat = [[row[k] if k >= 0 else 0 for k in range(p - i, p - i + ell)] for i, p in enumerate(parts)]
+        sums[w] += _bareiss_det(mat)
+    return sums, d
+
+
 def schur_eval(lam: Partition, xs: Sequence) -> Fraction:
     """Exact value of the Schur polynomial s_lam at the given coordinates:
-    s_lam(x | ()), the integer Jacobi-Trudi determinant det(h_{lam_i-i+j}(x))
-    of `super_schur_eval` with no odd coordinates; 0 when lam is longer
-    than the number of coordinates."""
+    s_lam(x | ()), `super_schur_eval` with no odd coordinates; 0 when lam
+    is longer than the number of coordinates."""
     return super_schur_eval(lam, xs, ())
 
 
 def super_schur_eval(lam: Partition, xs: Sequence, ys: Sequence) -> Fraction:
-    """Exact value of the supersymmetric Schur polynomial s_lam(x | y) as the
-    Jacobi-Trudi determinant det(h_{lam_i-i+j}(x | y)), where
-    sum_k h_k(x | y) u^k = prod_j (1 + y_j u) / prod_i (1 - x_i u).
+    """Exact value of the supersymmetric Schur polynomial s_lam(x | y), where
+    sum_k h_k(x | y) u^k = prod_j (1 + y_j u) / prod_i (1 - x_i u): the
+    one-shape case of `super_schur_series`, read from its evaluator as one
+    Fraction.  Its determinant is det(h_{lam_i-i+j}), or the dual
+    det(e_{lam'_i-i+j}) on the columns of a shape taller than it is wide.
 
-    With D the lcm of the coordinates' denominators, the determinant is taken
-    fraction-free at the integers (D x | D y) and divided by D^|lam|, since
-    s_lam is homogeneous of degree |lam|.  It stays defined at repeated
-    coordinates, and vanishes unless lam fits in the (m,n) fat hook, i.e.
-    lam_{m+1} <= n.  A coordinate that is not an int or a Fraction, a bool
-    included, is a ValueError.
+    It stays defined at repeated coordinates, and vanishes unless lam fits
+    in the (m,n) fat hook, i.e. lam_{m+1} <= n.  A coordinate that is not an
+    int or a Fraction, a bool included, is a ValueError.
     """
     _check_partition(lam)
-    xs, ys = list(xs), list(ys)
-    for c in xs + ys:
-        if type(c) is bool or not isinstance(c, (int, Fraction)):
-            raise ValueError(f"coordinates must be ints or Fractions, got {c!r}")
-    if lam[len(xs)] > len(ys):
-        return Fraction(0)
-    ell = len(lam)
-    if ell == 0:
-        return Fraction(1)
-    d = lcm(*(c.denominator for c in xs + ys))
-    top = lam[0] + ell - 1
-    h = [1] + [0] * top
-    for x in xs:
-        a = x.numerator * (d // x.denominator)
-        for k in range(1, top + 1):
-            h[k] += a * h[k - 1]
-    for y in ys:
-        b = y.numerator * (d // y.denominator)
-        for k in range(top, 0, -1):
-            h[k] += b * h[k - 1]
-    mat = [[h[k] if k >= 0 else 0 for k in range(lam[i] - i, lam[i] - i + ell)] for i in range(ell)]
-    return Fraction(_bareiss_det(mat), d**lam.weight)
+    w = lam.weight
+    sums, d = _jacobi_trudi_sums((lam,), xs, ys, w)
+    return Fraction(sums[w], d**w)

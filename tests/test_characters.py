@@ -27,7 +27,7 @@ from ospdim.characters import (
     spinor_tdim,
     verify_correspondence,
 )
-from ospdim.partitions import enum_offset_forms
+from ospdim.partitions import enum_B, enum_offset_forms
 from ospdim.schur import dim_gl_frobenius, weyl_table
 from ospdim.series import TruncatedSeries, polynomial
 
@@ -544,7 +544,7 @@ class TestVerify:
 
 class TestCumminsKing:
     def test_small_sizes_match(self):
-        for m, n in [(1, 1), (2, 1), (1, 2), (0, 1), (1, 0)]:
+        for m, n in [(1, 1), (2, 1), (1, 2), (0, 1), (1, 0), (0, 3), (3, 0), (0, 0)]:
             report = cummins_king_check(m, n, order=6, trials=2, seed=5)
             assert report.match, (m, n)
             assert report.failed_trial is None
@@ -562,6 +562,20 @@ class TestCumminsKing:
         rhs = TruncatedSeries(_ck_schur_side(xs, ys, 6).coeffs, 8)
         div = lhs.first_divergence(rhs)
         assert div == 8
+
+    def test_schur_side_walks_the_module_enumerator(self, monkeypatch):
+        # enum_B is looked up on characters at each call, so a wrapper
+        # installed there sees every shape the Schur side sums
+        seen = []
+
+        def counted(order):
+            for beta in enum_B(order):
+                seen.append(beta)
+                yield beta
+
+        monkeypatch.setattr(characters, "enum_B", counted)
+        _ck_schur_side([Fraction(1, 2)], [Fraction(1, 3)], 6)
+        assert seen == list(enum_B(6))
 
     def test_report_json(self):
         report = cummins_king_check(1, 1, order=4, trials=1, seed=1)

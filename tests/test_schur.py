@@ -1,6 +1,8 @@
 import random
 import sys
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
+from math import prod
 
 import pytest
 
@@ -14,6 +16,7 @@ from ospdim.schur import (
     schur_eval,
     sdim_gl,
     super_schur_eval,
+    super_schur_series,
     weyl_table,
     _WeylTable,
 )
@@ -74,6 +77,51 @@ def lr_super_schur(lam, xs, ys):
             for nu_parts, c in lr_expansion(lam, mu).items():
                 total += c * sx * schur_brute(Partition(nu_parts).conjugate(), ys)
     return total
+
+
+def h_brute(k, xs, ys):
+    """h_k(x | y) = sum_i h_i(x) e_{k-i}(y), each factor a monomial sum; with
+    the two sides swapped it is e_k(x | y)."""
+    return sum(
+        sum(map(prod, combinations_with_replacement(xs, i)), Fraction(0))
+        * sum(map(prod, combinations(ys, k - i)), Fraction(0))
+        for i in range(k + 1)
+    )
+
+
+def det_brute(mat):
+    """Determinant over the Fractions by Gaussian elimination."""
+    mat = [[Fraction(v) for v in row] for row in mat]
+    det = Fraction(1)
+    for k in range(len(mat)):
+        pivot = next((r for r in range(k, len(mat)) if mat[r][k]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            mat[k], mat[pivot] = mat[pivot], mat[k]
+            det = -det
+        det *= mat[k][k]
+        for r in range(k + 1, len(mat)):
+            f = mat[r][k] / mat[k][k]
+            for c in range(k, len(mat)):
+                mat[r][c] -= f * mat[k][c]
+    return det
+
+
+def jacobi_trudi(row, parts):
+    """det(row[parts_i - i + j]), row[k] = 0 for k < 0; 1 for no parts."""
+    ell = len(parts)
+    return det_brute(
+        [[row[k] if k >= 0 else 0 for k in range(p - i, p - i + ell)] for i, p in enumerate(parts)]
+    )
+
+
+# a few values, 0 and a pair x = -y among them, so a small draw repeats one
+POOL = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2, 3), Fraction(-5, 2)]
+
+
+def pool_point(rng, count):
+    return [rng.choice(POOL) for _ in range(count)]
 
 
 def random_point(rng, count):
@@ -308,8 +356,10 @@ class TestSuperSchur:
         lam = Partition([2, 1])
         xs = [Fraction(1, 2), Fraction(2)]
         assert super_schur_eval(lam, xs, []) == schur_eval(lam, xs)
-        ys = [Fraction(3), Fraction(-1, 3)]
-        assert super_schur_eval(lam, [], ys) == schur_eval(lam.conjugate(), ys)
+        # with no even coordinates s_lam(() | y) = s_lam'(y), here by tableaux
+        ys = [Fraction(3), Fraction(-1, 3), Fraction(5, 2)]
+        for lam in enum_partitions(6):
+            assert super_schur_eval(lam, [], ys) == schur_brute(lam.conjugate(), ys), lam
 
     def test_cancellation_property(self):
         # appending x=t, y=-t changes nothing: supersymmetry of the pair
@@ -344,6 +394,8 @@ class TestSuperSchur:
         for xs, ys in (([bad], []), ([1], [bad])):
             with pytest.raises(ValueError, match="coordinates must be ints or Fractions"):
                 super_schur_eval(Partition([1]), xs, ys)
+            with pytest.raises(ValueError, match="coordinates must be ints or Fractions"):
+                super_schur_series([Partition([1])], xs, ys, 1)
         with pytest.raises(ValueError, match="coordinates must be ints or Fractions"):
             schur_eval(Partition([1]), [Fraction(1, 2), bad])
 
@@ -371,16 +423,61 @@ class TestSuperSchur:
         check()
 
 
+class TestSuperSchurSeries:
+    def test_sums_each_shapes_value_by_weight(self):
+        rng = random.Random(43)
+        for m in range(4):
+            for n in range(4):
+                for _ in range(2):
+                    xs, ys = pool_point(rng, m), pool_point(rng, n)
+                    want = [Fraction(0)] * 11
+                    for lam in enum_partitions(8):
+                        val = super_schur_eval(lam, xs, ys)
+                        assert val == lr_super_schur(lam, xs, ys), (lam, xs, ys)
+                        want[lam.weight] += val
+                    got = super_schur_series(enum_partitions(8), xs, ys, 10)
+                    assert got.order == 10
+                    assert got.coeffs == tuple(want), (xs, ys)
+
+    def test_both_determinant_forms_agree(self):
+        # h on the rows and e on the columns: each shape takes one, and the
+        # other is checked here
+        rng = random.Random(47)
+        for m in range(4):
+            for n in range(4):
+                xs, ys = pool_point(rng, m), pool_point(rng, n)
+                h = [h_brute(k, xs, ys) for k in range(9)]
+                e = [h_brute(k, ys, xs) for k in range(9)]
+                for lam in enum_partitions(8):
+                    by_rows = jacobi_trudi(h, lam.parts)
+                    by_columns = jacobi_trudi(e, lam.conjugate().parts)
+                    assert by_rows == by_columns == super_schur_eval(lam, xs, ys), (lam, xs, ys)
+
+    def test_no_shapes_and_the_empty_shape(self):
+        assert super_schur_series([], [Fraction(1, 2)], [], 3).coeffs == (0, 0, 0, 0)
+        assert super_schur_series([Partition()] * 2, [], [], 0).coeffs == (2,)
+
+    def test_refuses_a_shape_heavier_than_the_order(self):
+        with pytest.raises(ValueError, match=r"shape \(2,2\) is heavier than the order 3"):
+            super_schur_series([Partition([1]), Partition([2, 2])], [1], [], 3)
+
+    @pytest.mark.parametrize("order", [-1, True, 1.5, None, "3"])
+    def test_refuses_a_bad_order(self, order):
+        with pytest.raises(ValueError, match="order must be an int >= 0"):
+            super_schur_series([], [1], [], order)
+
+
 @pytest.mark.parametrize(
     "call",
     [
         lambda lam: super_schur_eval(lam, [1, 1, 1], []),
+        lambda lam: super_schur_series([Partition([1]), lam], [1, 1, 1], [], 3),
         lambda lam: schur_eval(lam, [1, 1, 1]),
         lambda lam: sdim_gl(2, 1, lam),
         lambda lam: dim_gl_weyl(3, lam),
         lambda lam: dim_gl_hook(3, lam),
     ],
-    ids=["super_schur_eval", "schur_eval", "sdim_gl", "dim_gl_weyl", "dim_gl_hook"],
+    ids=["super_schur_eval", "super_schur_series", "schur_eval", "sdim_gl", "dim_gl_weyl", "dim_gl_hook"],
 )
 @pytest.mark.parametrize("lam", [(2, 1), [2, 1], None])
 def test_lam_must_be_a_partition(call, lam):
