@@ -14,8 +14,9 @@ the one place the loop runs, either reads a record or sums the family's stream
 above what it holds.  So builders that stream one family at one gl(k) read one
 sum: both sides of ospB-vs-soOdd, ospD-vs-soEven and ospD-vs-sp (ROADMAP item
 1).  The closed routes never read the table: the osp(1|2n) numerator is a sum
-of its own over the Frobenius forms that reach the order, kept per (n, p,
-degree clipped to the order) apart from `SUMS`, and every closed form is
+of its own over the Frobenius forms that reach the order, walked by
+`_offset_forms` without a partition walker and kept per (n, p, degree
+clipped to the order) apart from `SUMS`, and every closed form is
 divided by its (1 - t^j) factors one running sum at a time, never by long
 division.  Builders return the +t grading; identities that need t -> -t apply
 substitute_neg_t explicitly at the comparison site.  The one use inside a
@@ -267,11 +268,11 @@ def d21_sdim_t(p: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     alpha.  Level j collects every branch whose offset matches j in parity,
     with sign (-1)^j; the closed form is (1-p) + 2p/(1+t)."""
     _check_family("d21", p=p, order=order)
-    branches = _d21_branches(p)
-    coeffs = []
-    for j in range(order + 1):
-        total = sum(d for o, d in branches if o <= j and (j - o) % 2 == 0)
-        coeffs.append(-total if j % 2 else total)
+    coeffs = [0] * (order + 1)
+    for o, d in _d21_branches(p):
+        # every level o, o + 2, ... has o's parity, so one sign per branch
+        signed = -d if o % 2 else d
+        coeffs[o::2] = [c + signed for c in coeffs[o::2]]
     return TruncatedSeries(coeffs, order)
 
 

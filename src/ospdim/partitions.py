@@ -21,8 +21,10 @@ the doubled image of a half-weight walk, as a one-child batch whose parent is
 the shape without its last row.  The two families are each other's conjugates,
 as are the shapes with lambda_1 <= q and those with at most q rows, so a tall
 sum streams the conjugate family directly and never conjugates a shape.
-`subpartitions` keeps the shapes of lam's bounding box that lam contains, and
-`enum_offset_forms` adds r - i to row i of each shape in rank r's box.  Only
+`subpartitions` keeps the shapes of lam's bounding box that lam contains.
+The signed Frobenius forms (a | a + p) of the osp(1|2n) numerator come from
+no batch: `_offset_forms` walks their strictly decreasing arms itself, rank
+by rank, and `enum_offset_forms` is its unbounded case.  Only
 the public `enum_*` functions promise weight-ascending order: they expand the
 batches, sort the shapes stably by weight and wrap each in a `Partition`.
 Unbounded constraints are passed as None, never as a magic integer; a bound
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from operator import itemgetter
+from operator import itemgetter, le
 from typing import Iterable, Iterator, Sequence
 
 
@@ -173,9 +175,9 @@ class FrobeniusForm:
         if len(arms) != len(legs):
             raise ValueError("arm and leg sequences must have equal length")
         for seq in (arms, legs):
-            if any(x < 0 for x in seq):
+            if seq and min(seq) < 0:
                 raise ValueError(f"coordinates must be non-negative, got {seq}")
-            if any(x <= y for x, y in zip(seq, seq[1:])):
+            if any(map(le, seq, seq[1:])):
                 raise ValueError(f"coordinates must strictly decrease, got {seq}")
         object.__setattr__(self, "arms", arms)
         object.__setattr__(self, "legs", legs)
@@ -371,17 +373,30 @@ def enum_offset_forms(n: int, p: int) -> Iterator[tuple[FrobeniusForm, int]]:
 
 
 def _offset_forms(top: int, p: int, degree: int | None = None) -> Iterator[tuple[FrobeniusForm, int]]:
-    """The signed forms (a | a + p), arms below top, in rising rank: rank r's
-    arms are b_i + r - i over the shapes b in r rows of top - r columns and,
-    with degree, of weight within 2|a| + (p+1)r <= degree, if any."""
+    """The signed forms (a | a + p) with arms top > a_1 > ... > a_r >= 0 and
+    2|a| + (p+1)r <= degree, the full degree top * (top + p) if None, in
+    rising rank r, each with sign (-1)**(|a| + r).  Each rank is a
+    depth-first walk of its own over the arms, largest first: an arm is
+    drawn only while the arms below it, at least 0, 1, ..., still fit the
+    budget, so every branch ends in a form."""
+    if degree is None:
+        degree = top * (top + p)
     for r in range(top + 1):
-        budget = (top - r) * r if degree is None else (degree - (p + 1) * r) // 2 - r * (r - 1) // 2
-        if budget < 0:
+        budget = (degree - (p + 1) * r) // 2
+        if budget < r * (r - 1) // 2:
             return
-        for parts, weight in _shapes(partition_batches(budget, top - r, r)):
-            arms = tuple(b + r - 1 - i for i, b in enumerate(parts + (0,) * (r - len(parts))))
-            sign = -1 if (weight + r * (r + 1) // 2) % 2 else 1
-            yield FrobeniusForm(arms, tuple(a + p for a in arms)), sign
+        stack = [((), budget)]
+        pop, push = stack.pop, stack.extend
+        while stack:
+            arms, room = pop()
+            rest = r - len(arms)
+            if not rest:
+                sign = -1 if (budget - room + r) % 2 else 1
+                yield FrobeniusForm(arms, tuple(a + p for a in arms)), sign
+                continue
+            # the next arm a leaves rest - 1 arms below it, at least 0 .. rest - 2
+            hi = min((arms[-1] if arms else top) - 1, room - (rest - 1) * (rest - 2) // 2)
+            push([(arms + (a,), room - a) for a in range(rest - 1, hi + 1)])
 
 
 def subpartitions(lam: Partition, max_len: int | None = None) -> Iterator[Partition]:

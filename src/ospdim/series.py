@@ -8,8 +8,8 @@ at the boundary (`coeffs`, `coefficient`, `eval_at_one`, rendering and JSON);
 the arithmetic works on the numerators.  Products loop over the nonzero terms
 only, and division is one integer long division that visits only the
 divisor's nonzero terms.  Division by (1 - t^j)^e, the denominators of the
-closed forms, needs no long division: `over_one_minus` runs e strided
-running sums nums[k] += nums[k - j] over the numerators.
+closed forms, needs no long division: `over_one_minus` chains e running
+sums nums[k] += nums[k - j] over each residue class of the numerators mod j.
 
 Arithmetic between series of different orders truncates to the smaller order,
 which is recorded in the result; nothing is ever rounded.
@@ -192,18 +192,21 @@ class TruncatedSeries:
 
     def over_one_minus(self, j: int, times: int = 1) -> "TruncatedSeries":
         """The series divided by (1 - t^j)^times.  Each factor is one
-        strided running sum nums[k] += nums[k - j], taken as a running sum
-        over each residue class mod j.  Each step is unimodular, so the
-        numerators stay coprime to the denominator and `_make` has nothing
-        to reduce."""
+        strided running sum nums[k] += nums[k - j], a running sum over each
+        residue class mod j, so each class is read once, passed through
+        times chained `accumulate`s and written back once.  Each step is
+        unimodular, so the numerators stay coprime to the denominator and
+        `_make` has nothing to reduce."""
         if type(j) is not int or j < 1:
             raise ValueError(f"j must be an int >= 1, got {j!r}")
         if type(times) is not int or times < 0:
             raise ValueError(f"times must be an int >= 0, got {times!r}")
         nums = list(self._nums)
-        for _ in range(times):
-            for r in range(min(j, len(nums))):
-                nums[r::j] = accumulate(nums[r::j])
+        for r in range(min(j, len(nums))):
+            sums = nums[r::j]
+            for _ in range(times):
+                sums = accumulate(sums)
+            nums[r::j] = sums
         return _make(nums, self._den)
 
     def __pow__(self, exponent: int) -> "TruncatedSeries":

@@ -430,6 +430,15 @@ class TestD21:
             for order in (12, 200):
                 assert d21_sdim_t(p, order) == d21_sdim_closed(p, order), (p, order)
 
+    def test_branch_sum_matches_closed_form_at_low_orders(self):
+        # orders 0-3 leave the branch at offset 2, or at 1 and 2, no level
+        # or one, so a branch's slice of levels is empty or short
+        for p in range(1, 9):
+            for order in range(4):
+                got = d21_sdim_t(p, order)
+                assert got.order == order
+                assert got == d21_sdim_closed(p, order), (p, order)
+
     def test_value_at_one(self):
         # the closed form (1-p) + 2p/(1+t) evaluates to 1 at t = 1
         for p in range(1, 7):

@@ -5,8 +5,10 @@ from math import comb
 import pytest
 
 import ospdim.characters as characters
+import ospdim.partitions as partitions
 from ospdim.partitions import (
     FrobeniusForm,
+    _offset_forms,
     Partition,
     doubled_batches,
     enum_B,
@@ -395,6 +397,40 @@ class TestOffsetForms:
         for n, p in [(-1, 0), (2, -3), (None, 0)]:
             with pytest.raises(ValueError):
                 enum_offset_forms(n, p)
+
+    def test_clipped_walk_is_the_unbounded_walk_cut_at_the_degree(self):
+        # every degree up to two past the full degree top * (top + p), so
+        # the cut runs from the empty form alone to the whole stream
+        for top in range(10):
+            for p in range(9):
+                full = list(_offset_forms(top, p))
+                ranks = [form.rank for form, _ in full]
+                assert ranks == sorted(ranks), (top, p)
+                weights = [2 * sum(form.arms) + (p + 1) * form.rank for form, _ in full]
+                for degree in range(top * (top + p) + 3):
+                    want = [pair for pair, w in zip(full, weights) if w <= degree]
+                    assert list(_offset_forms(top, p, degree)) == want, (top, p, degree)
+
+    def test_walks_no_partition_walker(self, monkeypatch):
+        entered = []
+
+        def counted(name):
+            original = getattr(partitions, name)
+
+            def wrapper(*args, **kwargs):
+                entered.append(name)
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("_preorder", "partition_batches", "_shapes"):
+            monkeypatch.setattr(partitions, name, counted(name))
+        for top in range(7):
+            for p in range(4):
+                assert sum(1 for _ in _offset_forms(top, p)) == 2**top
+                list(_offset_forms(top, p, top + p))
+        assert sum(1 for _ in enum_offset_forms(6, 1)) == 32
+        assert entered == []
 
 
 class TestSubpartitions:
