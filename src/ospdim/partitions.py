@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from operator import itemgetter, le
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 
@@ -175,9 +175,9 @@ class FrobeniusForm:
         if len(arms) != len(legs):
             raise ValueError("arm and leg sequences must have equal length")
         for seq in (arms, legs):
-            if seq and min(seq) < 0:
+            if any(x < 0 for x in seq):
                 raise ValueError(f"coordinates must be non-negative, got {seq}")
-            if any(map(le, seq, seq[1:])):
+            if any(x <= y for x, y in zip(seq, seq[1:])):
                 raise ValueError(f"coordinates must strictly decrease, got {seq}")
         object.__setattr__(self, "arms", arms)
         object.__setattr__(self, "legs", legs)

@@ -193,10 +193,11 @@ class TruncatedSeries:
     def over_one_minus(self, j: int, times: int = 1) -> "TruncatedSeries":
         """The series divided by (1 - t^j)^times.  Each factor is one
         strided running sum nums[k] += nums[k - j], a running sum over each
-        residue class mod j, so each class is read once, passed through
-        times chained `accumulate`s and written back once.  Each step is
-        unimodular, so the numerators stay coprime to the denominator and
-        `_make` has nothing to reduce."""
+        residue class mod j, so each class is read once, summed times over
+        and written back once.  Each sum is made a list before the next, as
+        a chain of lazy `accumulate`s would recurse through all of them in
+        C.  Each step is unimodular, so the numerators stay coprime to the
+        denominator and `_make` has nothing to reduce."""
         if type(j) is not int or j < 1:
             raise ValueError(f"j must be an int >= 1, got {j!r}")
         if type(times) is not int or times < 0:
@@ -205,7 +206,7 @@ class TruncatedSeries:
         for r in range(min(j, len(nums))):
             sums = nums[r::j]
             for _ in range(times):
-                sums = accumulate(sums)
+                sums = list(accumulate(sums))
             nums[r::j] = sums
         return _make(nums, self._den)
 

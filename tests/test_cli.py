@@ -219,6 +219,16 @@ class TestSeries:
             assert result.exit_code == 0
             assert result.output == "1 + 2t + 3t^2 + 4t^3 + 5t^4 + 6t^5\n"
 
+    def test_closed_route_at_a_large_rank(self):
+        # n = 1000 divides by (1 - t)^1000 (1 - t^2)^499500: t^2 gets
+        # C(1001, 2) + 499500; the numerator is 1 below degree p + 1
+        result = run(
+            "series", "--family", "osp1", "--n", "1000", "--p", "1000",
+            "--order", "2", "--route", "closed",
+        )
+        assert result.exit_code == 0
+        assert result.output == "1 + 1000t + 1000000t^2\n"
+
     def test_chirality_flag(self):
         base = ["series", "--family", "soEven", "--k", "5", "--p", "1", "--order", "4"]
         assert run(*base).output == "5 + 10t^2 + t^4\n"

@@ -177,6 +177,16 @@ def test_over_one_minus_is_long_division_by_the_power(data):
     assert lowest_terms(got)
 
 
+def test_over_one_minus_takes_many_factors_without_recursing():
+    # 1/(1 - t^2)^e = 1 + e t^2 + ...; a chain of e lazy running sums
+    # would recurse e deep in C and overflow the stack
+    s = TruncatedSeries([1], 2).over_one_minus(2, 200000)
+    assert s == TruncatedSeries([1, 0, 200000], 2)
+    assert TruncatedSeries([1], 2).over_one_minus(1, 200000) == TruncatedSeries(
+        [1, 200000, 200000 * 200001 // 2], 2
+    )
+
+
 @pytest.mark.parametrize("j", [0, -1, 1.0, True, "1", None])
 def test_over_one_minus_refuses_bad_j(j):
     with pytest.raises(ValueError):
