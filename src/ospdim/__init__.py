@@ -12,14 +12,11 @@ from .partitions import (
     enum_offset_forms,
     enum_partitions,
     enum_rectangle,
-    subpartitions,
 )
 from .schur import (
     dim_gl_frobenius,
     dim_gl_hook,
     dim_gl_weyl,
-    lr_coefficient,
-    lr_expansion,
     schur_eval,
     sdim_gl,
     super_schur_eval,

@@ -25,12 +25,13 @@ taken at -t for the superdimension's sign (-1)^|lambda|.
 
 Two tables name everything the package can build and check.  FAMILIES has
 one row per family: the rule of each parameter, its algebra and Dynkin-label
-text, and the series builder of each of its routes.  CASES has one row per
-correspondence: its required parameters with their lower bounds, its free
-rank parameter, and for each of its two sides the spec and the route of that
-spec's FAMILIES row, taken at -t where the identity needs it, so each
-builder is called from one place.  IrrepSpec, verify_correspondence and the
-command line read these tables, so a new family or case is one new row, and
+text, the series builder of each of its routes, and the formulas of the
+value `ospdim dim` prints.  CASES has one row per correspondence: its
+required parameters with their lower bounds, its free rank parameter, and
+for each of its two sides the spec and the route of that spec's FAMILIES
+row, taken at -t where the identity needs it, so each builder is called
+from one place.  IrrepSpec, verify_correspondence, the command line and
+`selftest` read these tables, so a new family or case is one new row, and
 every route a verdict names is one `ospdim series --route` takes.  One
 checker, `_check_params`, checks every rank, label, route, order and count:
 builders, IrrepSpec and verify_correspondence against their row (plus order
@@ -59,7 +60,7 @@ from .partitions import (
     evened_batches,
     partition_batches,
 )
-from .schur import dim_gl_frobenius, super_schur_series, weyl_table
+from .schur import dim_gl_frobenius, dim_gl_hook, dim_gl_weyl, sdim_gl, super_schur_series, weyl_table
 from .series import DEFAULT_ORDER, TruncatedSeries, polynomial
 
 
@@ -285,7 +286,7 @@ def d21_sdim_closed(p: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
 
 
 # -- the family table and irrep specifications -------------------------------
-# Rows look builders up by module global at call time, so a patched builder runs.
+# Rows look builders and formulas up by module global at call time, so a patched one runs.
 
 
 def _dynkin(rank: int, *tail) -> str:
@@ -298,12 +299,15 @@ class Family(NamedTuple):
     order a missing one is reported, to its rule for `_check_params`: an
     int lower bound, a tuple of allowed values or None (any partition).
     routes maps each route name to its series builder, the first route
-    being the default, and is empty for a family without a series."""
+    being the default, and is empty for a family without a series.  values
+    maps each formula of the value `ospdim dim` prints to its function of the
+    spec, the first giving the value, and is empty for a family dim lacks."""
 
     params: dict[str, int | tuple[str, ...] | None]
     algebra: Callable[[IrrepSpec], str]
     label: Callable[[IrrepSpec], str]
     routes: dict[str, Callable[[IrrepSpec, int], TruncatedSeries]]
+    values: dict[str, Callable[[IrrepSpec], int | Fraction]] = {}
 
 
 def _check_params(kind: str, owner: str, rules: dict, values: dict) -> None:
@@ -354,9 +358,14 @@ def _check_family(family: str, **values) -> None:
 _CHIRALITY = ("last", "next_to_last")
 
 FAMILIES: dict[str, Family] = {
-    "gl": Family({"n": 1, "lam": None}, lambda s: f"gl({s.n})", lambda s: str(Partition(s.lam)), {}),
+    "gl": Family(
+        {"n": 1, "lam": None}, lambda s: f"gl({s.n})", lambda s: str(Partition(s.lam)), {},
+        {"weyl": lambda s: dim_gl_weyl(s.n, Partition(s.lam)), "hook": lambda s: dim_gl_hook(s.n, Partition(s.lam)),
+         "frobenius": lambda s: dim_gl_frobenius(s.n, Partition(s.lam).frobenius())},
+    ),
     "glsuper": Family(
-        {"m": 0, "n": 0, "lam": None}, lambda s: f"gl({s.m}|{s.n})", lambda s: str(Partition(s.lam)), {}
+        {"m": 0, "n": 0, "lam": None}, lambda s: f"gl({s.m}|{s.n})", lambda s: str(Partition(s.lam)), {},
+        {"sdim_gl": lambda s: sdim_gl(s.m, s.n, Partition(s.lam))},
     ),
     "osp1": Family(
         {"n": 1, "p": 0}, lambda s: f"osp(1|{2 * s.n})", lambda s: _dynkin(s.n, -s.p),
@@ -393,7 +402,8 @@ FAMILIES: dict[str, Family] = {
     ),
     "spinor": Family(
         {"m": 0, "n": 0}, lambda s: f"osp({2 * s.m}|{2 * s.n})",
-        lambda s: _dynkin(s.m + s.n, 1), {"closed": lambda s, o: spinor_tdim(s.m, s.n, o)}
+        lambda s: _dynkin(s.m + s.n, 1), {"closed": lambda s, o: spinor_tdim(s.m, s.n, o)},
+        {"spinor_sdim": lambda s: spinor_sdim(s.m, s.n)},
     ),
 }
 

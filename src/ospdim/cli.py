@@ -1,9 +1,10 @@
 """Command line interface.
 
-The choices of `series --family`, `--route` and `--chirality`, `verify
---case` and `sweep --case`, the parameters each family or case takes and the
-ranges a sweep runs over all come from the FAMILIES and CASES tables in
-`characters`, and `verify_correspondence` alone checks a case's parameters.
+The choices of `dim --family`, `series --family`, `--route` and
+`--chirality`, `verify --case` and `sweep --case`, the parameters each family
+or case takes, the formulas `dim` prints and the ranges a sweep runs over all
+come from the FAMILIES and CASES tables in `characters`, and
+`verify_correspondence` alone checks a case's parameters.
 An option the chosen family or case does not take is a usage error: a
 `--route` the family lacks, and `--chirality` for any family but soEven.
 `--route` defaults to the family's first route, `--chirality` to last.
@@ -12,8 +13,7 @@ Exit codes:
 
 0  success, and an all-match verdict
 1  a mathematical mismatch, and nothing else: a verify or sweep verdict, a
-   failed selftest check, or dim's Weyl, hook and Frobenius gl(n)
-   dimensions disagreeing
+   failed selftest check, or the formulas of one dim value disagreeing
 2  usage error (click's default), including a sweep in which some case
    has no combination to check
 3  internal error: any other uncaught exception, reported as one
@@ -35,9 +35,8 @@ import sys
 import click
 
 from . import __version__
-from .characters import CASES, FAMILIES, IrrepSpec, spinor_sdim, verify_correspondence
+from .characters import CASES, FAMILIES, IrrepSpec, verify_correspondence
 from .partitions import Partition
-from .schur import dim_gl_frobenius, dim_gl_hook, dim_gl_weyl, sdim_gl
 from .series import DEFAULT_ORDER
 
 FORMATS = click.Choice(["text", "json", "csv"])
@@ -111,7 +110,7 @@ def main():
 
 
 @main.command()
-@click.option("--family", type=click.Choice(["gl", "glsuper", "spinor"]), required=True)
+@click.option("--family", type=click.Choice([f for f, row in FAMILIES.items() if row.values]), required=True)
 @click.option("--m", type=int, default=None)
 @click.option("--n", type=int, default=None)
 @click.option("--lambda", "lam_text", default=None, help="partition as comma-separated parts")
@@ -123,21 +122,17 @@ def dim(family, m, n, lam_text, fmt):
     columns = {"family": family}
     columns.update(("lambda", spec.label) if name == "lam" else (name, getattr(spec, name))
                    for name in FAMILIES[family].params)
+    values = {name: formula(spec) for name, formula in FAMILIES[family].values.items()}
+    first = next(iter(values.values()))
     payload = {"spec": spec.to_json_dict()}
-    agree = True
-    if family == "gl":
-        weyl = dim_gl_weyl(n, lam)
-        hook = dim_gl_hook(n, lam)
-        frob = dim_gl_frobenius(n, lam.frobenius())
-        agree = weyl == hook == frob
+    payload["value"] = columns["value"] = first if isinstance(first, int) else str(first)
+    lines = [str(first)]
+    agree = len(set(values.values())) == 1
+    if len(values) > 1:
         flag = "true" if agree else "false"
-        payload.update(value=weyl, weyl=weyl, hook=hook, frobenius=frob, agreement=agree)
-        columns.update(value=weyl, agreement=flag)
-        lines = [str(weyl), f"weyl=hook=frobenius: {flag}"]
-    else:
-        value = sdim_gl(m, n, lam) if family == "glsuper" else str(spinor_sdim(m, n))
-        payload["value"] = columns["value"] = value
-        lines = [str(value)]
+        payload.update(values, agreement=agree)
+        columns["agreement"] = flag
+        lines.append(f"{'='.join(values)}: {flag}")
     _emit(fmt, failed=not agree, json=lambda: payload, csv=lambda: [list(columns), list(columns.values())],
           text=lambda: lines)
 

@@ -148,7 +148,7 @@ class TestDim:
             assert row[header.index("lambda")] == "(2,1)"
 
     def test_formula_disagreement_exits_one(self, monkeypatch):
-        monkeypatch.setattr(cli_mod, "dim_gl_hook", lambda n, lam: 0)
+        monkeypatch.setattr(characters, "dim_gl_hook", lambda n, lam: 0)
         result = run("dim", "--family", "gl", "--n", "3", "--lambda", "2,1")
         assert result.exit_code == 1
         assert result.output == "8\nweyl=hook=frobenius: false\n"
@@ -399,6 +399,15 @@ class TestSelftest:
         payload = json.loads(result.output)
         assert payload["failed"] == 0
         assert payload["passed"] == len(payload["results"])
+
+    def test_goldens_raise_no_series_to_a_power(self, monkeypatch):
+        from ospdim.selftest import run_selftest
+
+        def refuse(self, e):
+            raise AssertionError("selftest called TruncatedSeries.__pow__")
+
+        monkeypatch.setattr(TruncatedSeries, "__pow__", refuse)
+        assert [r.name for r in run_selftest() if not r.ok] == []
 
     def test_other_commands_never_load_it(self):
         import os

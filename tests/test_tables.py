@@ -23,6 +23,7 @@ from ospdim.characters import (
     spinor_tdim,
     verify_correspondence,
 )
+from ospdim import selftest
 from ospdim.cli import main
 from ospdim.series import TruncatedSeries
 
@@ -102,6 +103,9 @@ class TestIrrepSpecChecks:
 
 
 class TestChoicesComeFromTables:
+    def test_dim_family(self):
+        assert choices("dim", "family") == [f for f, row in FAMILIES.items() if row.values]
+
     def test_series_family(self):
         assert choices("series", "family") == [f for f, row in FAMILIES.items() if row.routes]
 
@@ -110,6 +114,20 @@ class TestChoicesComeFromTables:
 
     def test_sweep_case(self):
         assert choices("sweep", "case") == list(CASES) + ["all"]
+
+    def test_selftest_verifies_every_case_once(self, monkeypatch):
+        # a new row is checked with no selftest edit
+        monkeypatch.setitem(CASES, "d21-again", CASES["d21-vs-so2"])
+        calls = []
+
+        def recorded(case, **params):
+            calls.append((case, params))
+            return verify_correspondence(case, **params)
+
+        monkeypatch.setattr(selftest, "verify_correspondence", recorded)
+        selftest._check_correspondences()
+        assert [case for case, _ in calls] == list(CASES)
+        assert calls[-1] == ("d21-again", {"order": 10, "p": 3})
 
 
 # (family, route, options, the builder called directly)
