@@ -14,13 +14,14 @@ a last row c = 0 is no row, so the root batch ((), 0, (0,)) stands for the
 empty shape.  A node's batch comes as the walk expands it, so every shape
 comes after its parent parts[:-1] and within a fixed weight the shapes are
 lexicographically descending, but weights interleave and the raw order is
-otherwise not promised.  `partition_batches` streams these batches, as does
-`evened_batches`, the same walk taken in steps of two for the even-part
-family; `doubled_batches` gives each shape of the even-multiplicity family,
-the doubled image of a half-weight walk, as a one-child batch whose parent is
-the shape without its last row.  The two families are each other's conjugates,
-as are the shapes with lambda_1 <= q and those with at most q rows, so a tall
-sum streams the conjugate family directly and never conjugates a shape.
+otherwise not promised.  `partition_batches` streams these batches, and the
+two other streams are images of its half-weight walk: `evened_batches` gives
+the even-part family, each batch doubled, and `doubled_batches` each shape of
+the even-multiplicity family, each part repeated, as a one-child batch whose
+parent is the shape without its last row.  The two families are each other's
+conjugates, as are the shapes with lambda_1 <= q and those with at most q
+rows, so a tall sum streams the conjugate family directly and never
+conjugates a shape.
 `subpartitions` keeps the shapes of lam's bounding box that lam contains.
 The signed Frobenius forms (a | a + p) of the osp(1|2n) numerator come from
 no batch: `_offset_forms` walks their strictly decreasing arms itself, rank
@@ -240,16 +241,15 @@ def partition_batches(
     _check_bounds(max_part=max_part, max_len=max_len, max_weight=max_weight, above=above)
     part_cap = max_weight if max_part is None else max_part
     rows = max_weight if max_len is None else min(max_len, max_weight)
-    return _preorder(max_weight, part_cap, rows, 1, -1 if above is None else above)
+    return _preorder(max_weight, part_cap, rows, -1 if above is None else above)
 
 
-def _preorder(max_weight: int, part_cap: int, rows: int, step: int, above: int) -> Batches:
+def _preorder(max_weight: int, part_cap: int, rows: int, above: int) -> Batches:
     """The shapes heavier than above with parts at most part_cap, at most
-    rows rows, weight at most max_weight and every part a multiple of
-    step, as sibling batches: ROOT if above < 0, then the children of each
-    node as the walk expands it, largest first, each batch cut to the
-    children heavier than above and left out when none is.  max_weight and
-    part_cap must be multiples of step.
+    rows rows and weight at most max_weight, as sibling batches: ROOT if
+    above < 0, then the children of each node as the walk expands it,
+    largest first, each batch cut to the children heavier than above and
+    left out when none is.
 
     Only children with room to grow are pushed, smallest first, so the
     largest child's subtree is done before its next sibling is expanded.
@@ -259,7 +259,7 @@ def _preorder(max_weight: int, part_cap: int, rows: int, step: int, above: int) 
     """
     if above < 0:
         yield ROOT
-    grows = rows and min(part_cap, max_weight) >= step and min(part_cap * rows, max_weight) > above
+    grows = rows and min(part_cap, max_weight) > 0 and min(part_cap * rows, max_weight) > above
     stack = [((), 0)] if grows else []
     pop, push = stack.pop, stack.extend
     while stack:
@@ -269,21 +269,19 @@ def _preorder(max_weight: int, part_cap: int, rows: int, step: int, above: int) 
         top = parts[-1] if i else part_cap
         if room < top:
             top = room
-        grow = room - step
-        if top < grow:
-            grow = top
+        grow = top if top < room else room - 1
         if weight > above:
-            yield parts, weight, range(top, 0, -step)
-            low = step
+            yield parts, weight, range(top, 0, -1)
+            low = 1
         else:
             # the children heavier than above are those with c > need, and
-            # low is the smallest c, a multiple of step, with c * (rows - i) > need
+            # low is the smallest c with c * (rows - i) > need
             need = above - weight
             if top > need:
-                yield parts, weight, range(top, need, -step)
-            low = max(step, -(-(need // (rows - i) + 1) // step) * step)
+                yield parts, weight, range(top, need, -1)
+            low = need // (rows - i) + 1
         if grow >= low and i + 1 < rows:
-            push([(parts + (c,), weight + c) for c in range(low, grow + 1, step)])
+            push([(parts + (c,), weight + c) for c in range(low, grow + 1)])
 
 
 def doubled_batches(
@@ -312,12 +310,12 @@ def evened_batches(
     max_weight: int, max_len: int | None = None, *, above: int | None = None
 ) -> Batches:
     """The even-part family (2 c1, 2 c2, ...) for every (c1, c2, ...) of
-    half the weight, as sibling batches of a walk in parts of step two;
-    with above, only the shapes heavier than it."""
+    half the weight: the half walk's batches, resumed above above // 2 if
+    above is given, each but ROOT with parent, weight and children doubled."""
     _check_bounds(max_len=max_len, max_weight=max_weight, above=above)
-    half = max_weight // 2
-    rows = half if max_len is None else min(max_len, half)
-    return _preorder(2 * half, 2 * half, rows, 2, -1 if above is None else above)
+    half = partition_batches(max_weight // 2, None, max_len, above=None if above is None else above // 2)
+    return ((tuple([2 * c for c in parent]), 2 * weight, range(2 * cs[0], 2 * cs[-1] - 1, -2))
+            if cs[-1] else ROOT for parent, weight, cs in half)
 
 
 def _by_weight(batches: Batches) -> Iterator[Partition]:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import factorial, lcm
+from math import factorial, lcm, perm
 from typing import Iterable, Mapping, Sequence
 
 # subpartitions stays importable here for bench/layertrace.py
@@ -162,6 +162,8 @@ def dim_gl_frobenius(n: int, form: FrobeniusForm) -> int:
         * prod_{k<l} (a_k - a_l)(b_k - b_l)
         / ( prod_k a_k! b_k!  *  prod_{k,l} (a_k + b_l + 1) )
 
+    Each (n + a_k)! / (n - b_k - 1)! is the product of its a_k + b_k + 1
+    factors n - b_k .. n + a_k, math.perm, never two factorials of n.
     Any leg of length n or more means more than n rows, hence 0.
     """
     if type(n) is not int or n <= 0:
@@ -173,7 +175,7 @@ def dim_gl_frobenius(n: int, form: FrobeniusForm) -> int:
         return 0
     num = 1
     for a, b in zip(arms, legs):
-        num *= factorial(n + a) // factorial(n - b - 1)
+        num *= perm(n + a, a + b + 1)
     r = form.rank
     for k in range(r):
         for l in range(k + 1, r):

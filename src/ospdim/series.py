@@ -9,7 +9,9 @@ the arithmetic works on the numerators.  Products loop over the nonzero terms
 only, and division is one integer long division that visits only the
 divisor's nonzero terms.  Division by (1 - t^j)^e, the denominators of the
 closed forms, needs no long division: `over_one_minus` chains e running
-sums nums[k] += nums[k - j] over each residue class of the numerators mod j.
+sums nums[k] += nums[k - j] over each residue class of the numerators mod j,
+or, when e is at least the class length, multiplies each class by the
+binomial series of (1 - x)^-e.
 
 Arithmetic between series of different orders truncates to the smaller order,
 which is recorded in the result; nothing is ever rounded.
@@ -20,6 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Mapping, Sequence, Union
 
 DEFAULT_ORDER = 16
@@ -96,6 +99,8 @@ class TruncatedSeries:
             return self._coeffs
 
     def coefficient(self, k: int) -> Fraction:
+        if type(k) is not int:
+            raise ValueError(f"exponent must be an int, got {k!r}")
         if k < 0 or k > self.order:
             raise IndexError(f"t^{k} lies outside the stored window")
         return self.coeffs[k]
@@ -196,17 +201,29 @@ class TruncatedSeries:
         residue class mod j, so each class is read once, summed times over
         and written back once.  Each sum is made a list before the next, as
         a chain of lazy `accumulate`s would recurse through all of them in
-        C.  Each step is unimodular, so the numerators stay coprime to the
-        denominator and `_make` has nothing to reduce."""
+        C.  When times is at least the class length L, times sums cost more
+        than one product with 1/(1 - x)^times = sum_i C(times - 1 + i, i) x^i,
+        so each class is multiplied by its first L terms instead, each term
+        the one before times (times - 1 + i) / i.  Either way the map is
+        unimodular, so the numerators stay coprime to the denominator and
+        `_make` has nothing to reduce."""
         if type(j) is not int or j < 1:
             raise ValueError(f"j must be an int >= 1, got {j!r}")
         if type(times) is not int or times < 0:
             raise ValueError(f"times must be an int >= 0, got {times!r}")
         nums = list(self._nums)
+        size = -(-len(nums) // j)  # the length of the longest class, nums[0::j]
+        if times >= size:
+            binom = [1]
+            for i in range(1, size):
+                binom.append(binom[-1] * (times - 1 + i) // i)
         for r in range(min(j, len(nums))):
             sums = nums[r::j]
-            for _ in range(times):
-                sums = list(accumulate(sums))
+            if times < size:
+                for _ in range(times):
+                    sums = list(accumulate(sums))
+            else:
+                sums = [sum(map(mul, binom, sums[m::-1])) for m in range(len(sums))]
             nums[r::j] = sums
         return _make(nums, self._den)
 

@@ -229,6 +229,16 @@ class TestSeries:
         assert result.exit_code == 0
         assert result.output == "1 + 1000t + 1000000t^2\n"
 
+    def test_closed_route_at_a_huge_rank(self):
+        # n = 100000 divides by (1 - t^2)^4999950000: one product per residue
+        # class, not billions of running sums, and the numerator cancels it
+        result = run(
+            "series", "--family", "osp1", "--n", "100000", "--p", "0",
+            "--order", "2", "--route", "closed",
+        )
+        assert result.exit_code == 0
+        assert result.output == "1\n"
+
     def test_chirality_flag(self):
         base = ["series", "--family", "soEven", "--k", "5", "--p", "1", "--order", "4"]
         assert run(*base).output == "5 + 10t^2 + t^4\n"

@@ -61,7 +61,12 @@ LEDGER = {
         "partitions._doubled",
         *_GL_SUM,
     },
-    "ospD-vs-sp": {"partitions.evened_batches", "partitions._preorder", *_GL_SUM},
+    "ospD-vs-sp": {
+        "partitions.evened_batches",
+        "partitions.partition_batches",
+        "partitions._preorder",
+        *_GL_SUM,
+    },
     "d21-vs-so2": set(),
 }
 

@@ -154,11 +154,10 @@ def check_resumed(full, resumed, above):
 
 
 @CHECKS
-@given(st.integers(1, 2), st.integers(0, 10), st.integers(0, 6), st.integers(0, 6), st.integers(0, 24))
-def test_a_resumed_walk_gives_the_full_walks_heavier_shapes(step, units, cap_units, rows, above):
-    # max_weight and part_cap are multiples of step
-    full = _preorder(step * units, step * cap_units, rows, step, -1)
-    check_resumed(full, _preorder(step * units, step * cap_units, rows, step, above), above)
+@given(st.integers(0, 10), st.integers(0, 6), st.integers(0, 6), st.integers(0, 24))
+def test_a_resumed_walk_gives_the_full_walks_heavier_shapes(max_weight, part_cap, rows, above):
+    full = _preorder(max_weight, part_cap, rows, -1)
+    check_resumed(full, _preorder(max_weight, part_cap, rows, above), above)
 
 
 @CHECKS

@@ -155,6 +155,14 @@ class TestGlDimensions:
                 assert w == dim_gl_hook(n, lam), (lam, n)
                 assert w == dim_gl_frobenius(n, form), (lam, n)
 
+    def test_three_way_agreement_at_a_million(self):
+        # each (n + a_k)! / (n - b_k - 1)! is a short product, never two factorials of n
+        n = 10**6
+        for lam in enum_partitions(4):
+            w = dim_gl_weyl(n, lam)
+            assert w == dim_gl_hook(n, lam) == dim_gl_frobenius(n, lam.frobenius()), lam
+        assert dim_gl_weyl(n, Partition([2, 1])) == n * (n * n - 1) // 3
+
     def test_too_many_rows_gives_zero(self):
         lam = Partition([2, 1, 1, 1])
         assert dim_gl_weyl(3, lam) == 0

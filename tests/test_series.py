@@ -82,6 +82,12 @@ class TestConstruction:
         with pytest.raises(IndexError):
             s.coefficient(3)
 
+    @pytest.mark.parametrize("k", [True, False, 1.0, "1", None, Fraction(1)])
+    def test_coefficient_refuses_an_exponent_that_is_not_an_int(self, k):
+        # as monomial does: True once read t^1 and 1.0 raised a bare TypeError
+        with pytest.raises(ValueError, match="exponent must be an int"):
+            TruncatedSeries([5, 6, 7]).coefficient(k)
+
     def test_coefficients_are_fractions(self):
         s = TruncatedSeries([1, 2])
         assert all(isinstance(c, Fraction) for c in s.coeffs)

@@ -168,7 +168,9 @@ def test_over_one_minus_is_long_division_by_the_power(data):
     order = data.draw(st.integers(0, MAX_ORDER))
     s = data.draw(series(order))
     j = data.draw(st.integers(1, order + 2))
-    times = data.draw(st.integers(0, 4))
+    # times below a residue class's length takes running sums, and times at
+    # least that length one product with the binomial series
+    times = data.draw(st.one_of(st.integers(0, 8), st.integers(10**5, 10**6)))
     got = s.over_one_minus(j, times)
     want = s / polynomial([1] + [0] * (j - 1) + [-1], order) ** times
     assert got.order == order
@@ -185,6 +187,12 @@ def test_over_one_minus_takes_many_factors_without_recursing():
     assert TruncatedSeries([1], 2).over_one_minus(1, 200000) == TruncatedSeries(
         [1, 200000, 200000 * 200001 // 2], 2
     )
+    # osp(1|2n) at n = 100000 divides by (1 - t^2)^4999950000: one product
+    # per residue class, where as many running sums would take hours
+    e = 100000 * 99999 // 2
+    s = TruncatedSeries([1, -2, 3, 0, 5], 4)
+    assert s.over_one_minus(2, e) == s / polynomial([1, 0, -1], 4) ** e
+    assert s.over_one_minus(1, e) == s / polynomial([1, -1], 4) ** e
 
 
 @pytest.mark.parametrize("j", [0, -1, 1.0, True, "1", None])
