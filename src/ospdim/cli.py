@@ -45,7 +45,7 @@ ORDER = {"type": click.IntRange(min=0), "envvar": "OSPDIM_ORDER", "show_envvar":
 
 
 def _parse_partition(text: str | None, flag: str) -> Partition:
-    if text is None or text.strip() in ("", "0"):
+    if text is None or not text.strip():
         return Partition()
     try:
         return Partition(int(x) for x in text.split(","))

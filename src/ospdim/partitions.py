@@ -136,9 +136,10 @@ class Partition:
     def hook_length(self, i: int, j: int) -> int:
         """Hook length of box (i, j), rows and columns counted from 1.
 
-        h(i,j) = lambda_i + lambda'_j - i - j + 1.  Raises ValueError for a
-        box outside the diagram.
+        h(i,j) = lambda_i + lambda'_j - i - j + 1.  ValueError for a box
+        outside the diagram or a coordinate not an int, a bool included.
         """
+        _integers((i, j), "box coordinates")
         if i < 1 or j < 1 or j > self[i - 1]:
             raise ValueError(f"box ({i},{j}) lies outside {self!r}")
         conj_j = sum(1 for p in self._parts if p >= j)
@@ -251,11 +252,14 @@ def _preorder(max_weight: int, part_cap: int, rows: int, above: int) -> Batches:
     largest first, each batch cut to the children heavier than above and
     left out when none is.
 
-    Only children with room to grow are pushed, smallest first, so the
-    largest child's subtree is done before its next sibling is expanded.
-    A child c in row i holds at most c in each of its rows - i rows, so one
-    with weight + c * (rows - i) <= above is not pushed: a resumed walk
-    skips exactly the subtrees with no shape heavier than above.
+    One cut rule serves fresh and resumed nodes: a node keeps the children
+    c > need, need = above - weight clamped at 0; each popped node has the
+    child 1, as a pushed node keeps a unit of room.  Only children with
+    room to grow are pushed, smallest first, so the largest child's subtree
+    is done before its next sibling is expanded.  A child c in row i holds
+    at most c in each of its rows - i rows, so one with c * (rows - i) <=
+    need is not pushed: a resumed walk skips exactly the subtrees with no
+    shape heavier than above.
     """
     if above < 0:
         yield ROOT
@@ -270,16 +274,11 @@ def _preorder(max_weight: int, part_cap: int, rows: int, above: int) -> Batches:
         if room < top:
             top = room
         grow = top if top < room else room - 1
-        if weight > above:
-            yield parts, weight, range(top, 0, -1)
-            low = 1
-        else:
-            # the children heavier than above are those with c > need, and
-            # low is the smallest c with c * (rows - i) > need
-            need = above - weight
-            if top > need:
-                yield parts, weight, range(top, need, -1)
-            low = need // (rows - i) + 1
+        # keep the children c > need; push from the least c * (rows - i) > need
+        need = above - weight if above > weight else 0
+        if top > need:
+            yield parts, weight, range(top, need, -1)
+        low = need // (rows - i) + 1
         if grow >= low and i + 1 < rows:
             push([(parts + (c,), weight + c) for c in range(low, grow + 1)])
 
@@ -311,11 +310,11 @@ def evened_batches(
 ) -> Batches:
     """The even-part family (2 c1, 2 c2, ...) for every (c1, c2, ...) of
     half the weight: the half walk's batches, resumed above above // 2 if
-    above is given, each but ROOT with parent, weight and children doubled."""
+    above is given, each doubled in parent, weight and children, ROOT too."""
     _check_bounds(max_len=max_len, max_weight=max_weight, above=above)
     half = partition_batches(max_weight // 2, None, max_len, above=None if above is None else above // 2)
     return ((tuple([2 * c for c in parent]), 2 * weight, range(2 * cs[0], 2 * cs[-1] - 1, -2))
-            if cs[-1] else ROOT for parent, weight, cs in half)
+            for parent, weight, cs in half)
 
 
 def _by_weight(batches: Batches) -> Iterator[Partition]:

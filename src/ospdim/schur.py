@@ -51,7 +51,8 @@ class _WeylTable(dict):
     numerator's of the entry before, so each new entry computes one hook
     product and reuses the previous one.  Each division is exact, since it
     leaves a dimension, and is checked on every entry.  A parent of n rows
-    or more has no non-empty child.
+    or more reads zeros: at i = n the factor c + n-1-i is 0 at c = 1, a
+    longer parent's row[0] is 0, and top <= parent[-1] keeps divisors >= 1.
     """
 
     __slots__ = ("n",)
@@ -86,9 +87,6 @@ class _WeylTable(dict):
         """Carry the row of parent, whose dimension is dim, through c = top."""
         row = self.setdefault(parent, [dim])
         i = len(parent)
-        if i >= self.n:
-            row.extend([0] * (top + 1 - len(row)))
-            return row
         shift = self.n - 1 - i
         hooks = [part + i - a for a, part in enumerate(parent)]
         start = len(row)

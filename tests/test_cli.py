@@ -116,6 +116,12 @@ class TestDim:
         assert result.exit_code == 0
         assert result.output == "1701\nweyl=hook=frobenius: true\n"
 
+    @pytest.mark.parametrize("text", ["0", " 0 ", "0,0"])
+    def test_a_zero_lambda_is_the_empty_shape(self, text):
+        result = run("dim", "--family", "gl", "--n", "3", "--lambda", text)
+        assert result.exit_code == 0
+        assert result.output.splitlines()[0] == "1"
+
     def test_glsuper_negative_value(self):
         result = run("dim", "--family", "glsuper", "--m", "1", "--n", "3", "--lambda", "2,1")
         assert result.exit_code == 0

@@ -166,3 +166,20 @@ def test_every_batch_stream_resumes_above_a_held_weight(w, a, b, above):
     check_resumed(partition_batches(w, a, b), partition_batches(w, a, b, above=above), above)
     check_resumed(doubled_batches(w, a, b), doubled_batches(w, a, b, above=above), above)
     check_resumed(evened_batches(w, b), evened_batches(w, b, above=above), above)
+
+
+@CHECKS
+@given(st.integers(0, 14), bounds, bounds, st.one_of(st.none(), st.integers(0, 16)))
+def test_every_batch_has_children_and_only_the_root_has_child_zero(w, a, b, above):
+    # the one cut rule of _preorder keeps the children c > need >= 0, which
+    # is every child 1..top of a node heavier than above, as top >= 1
+    for stream in (partition_batches(w, a, b, above=above), doubled_batches(w, a, b, above=above),
+                   evened_batches(w, b, above=above)):
+        roots = 0
+        for parent, weight, cs in stream:
+            assert len(cs) > 0, (parent, weight)
+            if (parent, weight, list(cs)) == ((), 0, [0]):
+                roots += 1
+            else:
+                assert min(cs) >= 1, (parent, weight, list(cs))
+        assert roots == (above is None)

@@ -166,6 +166,12 @@ class TestHookLengths:
             with pytest.raises(ValueError):
                 lam.hook_length(i, j)
 
+    def test_coordinate_that_is_not_an_int_is_refused(self):
+        lam = Partition([2, 1])
+        for i, j in [(1, 1.0), (1.0, 1), (True, 1), (1, True), ("1", 1), (None, 1)]:
+            with pytest.raises(ValueError):
+                lam.hook_length(i, j)
+
     def test_hooks_sum(self):
         # sum of all hook lengths = sum over boxes of (arm + leg + 1)
         for lam in enum_partitions(9):
