@@ -240,15 +240,16 @@ def sp_dim_t(k: int, p: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
 
 
 def spinor_tdim(m: int, n: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
-    """t-dimension 2^m/(1-t)^n of the spinor representation of osp(2m|2n),
-    graded by polynomial degree in the n bosonic generators: the constant
+    """t-dimension 2^m/(1-t)^n of the spinor representation [0,...,0,1] of
+    osp(2m+1|2n), the Fock space of m fermions and n bosons, graded by
+    polynomial degree in the n bosonic generators: the constant
     2^m divided by (1-t) n times, each time one running sum."""
     _check_family("spinor", m=m, n=n, order=order)
     return TruncatedSeries([2**m], order).over_one_minus(1, n)
 
 
 def spinor_sdim(m: int, n: int) -> Fraction:
-    """Superdimension 2^(m-n) of the osp(2m|2n) spinor; a non-integer
+    """Superdimension 2^(m-n) of the osp(2m+1|2n) spinor; a non-integer
     rational when n > m."""
     _check_params("family", "spinor", FAMILIES["spinor"].params, {"m": m, "n": n})
     return Fraction(2) ** (m - n)
@@ -401,7 +402,7 @@ FAMILIES: dict[str, Family] = {
         {"branching": lambda s, o: d21_sdim_t(s.p, o), "closed": lambda s, o: d21_sdim_closed(s.p, o)},
     ),
     "spinor": Family(
-        {"m": 0, "n": 0}, lambda s: f"osp({2 * s.m}|{2 * s.n})",
+        {"m": 0, "n": 0}, lambda s: f"osp({2 * s.m + 1}|{2 * s.n})",
         lambda s: _dynkin(s.m + s.n, 1), {"closed": lambda s, o: spinor_tdim(s.m, s.n, o)},
         {"spinor_sdim": lambda s: spinor_sdim(s.m, s.n)},
     ),

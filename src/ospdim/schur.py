@@ -29,7 +29,7 @@ refused with ValueError.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import lru_cache
 from math import factorial, lcm, perm
 from typing import Iterable, Mapping, Sequence
 
@@ -114,11 +114,16 @@ class _WeylTable(dict):
         return self.row(parts[:-1], parts[-1])[parts[-1]]
 
 
-@cache
+# typed, so a bool or a float equal to a held n misses and is refused
+@lru_cache(maxsize=None, typed=True)
 def weyl_table(n: int) -> _WeylTable:
-    """The process's one table of gl(n) rows, n >= 0, shared by every
+    """The process's one table of gl(n) rows, n an int >= 0, shared by every
     caller: `weyl_table(n).row(parent, top)[c]` is the Weyl product of
-    parent + (c,), and `weyl_table(n).dim(parts)` that of a shape."""
+    parent + (c,), and `weyl_table(n).dim(parts)` that of a shape.  Any
+    other n, a bool included, is refused with ValueError and no table is
+    kept."""
+    if type(n) is not int or n < 0:
+        raise ValueError(f"n must be an int >= 0, got {n!r}")
     return _WeylTable(n)
 
 

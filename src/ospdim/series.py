@@ -4,10 +4,13 @@ A series of order N has the N+1 coefficients of t^0 .. t^N.  They are stored
 as a tuple of Python int numerators over one common positive denominator,
 kept in lowest terms: gcd(den, *nums) == 1, so an integral series has
 den == 1 and its arithmetic never leaves the integers.  Fractions appear only
-at the boundary (`coeffs`, `coefficient`, `eval_at_one`, rendering and JSON);
-the arithmetic works on the numerators.  Products loop over the nonzero terms
-only, and division is one integer long division that visits only the
-divisor's nonzero terms.  Division by (1 - t^j)^e, the denominators of the
+at the boundary (`coeffs`, `coefficient`, `eval_at_one`, `repr` and the text
+of a rational series), each built by `_fraction` from a pair already in
+lowest terms, so without the public constructor's checks and gcd; the
+arithmetic, the JSON and the text of an integral series work on the
+numerators.  Products loop over the nonzero terms only, and division is one
+integer long division that visits only the divisor's nonzero terms.
+Division by (1 - t^j)^e, the denominators of the
 closed forms, needs no long division: `over_one_minus` chains e running
 sums nums[k] += nums[k - j] over each residue class of the numerators mod j,
 or, when e is at least the class length, multiplies each class by the
@@ -28,6 +31,26 @@ from typing import Iterable, Mapping, Sequence, Union
 DEFAULT_ORDER = 16
 
 Scalar = Union[int, Fraction]
+
+
+def _fraction(numerator: int, denominator: int = 1) -> Fraction:
+    """The Fraction numerator/denominator of an int pair already in lowest
+    terms with a positive denominator.  It stores the two slots the public
+    constructor would store, with no type check and no gcd, as CPython
+    3.12's own `Fraction._from_coprime_ints` does, so its value, type and
+    hash are those of Fraction(numerator, denominator).  This is the one
+    place that touches Fraction's internals."""
+    out = object.__new__(Fraction)
+    out._numerator = numerator
+    out._denominator = denominator
+    return out
+
+
+def _reduced(numerator: int, denominator: int) -> Fraction:
+    """The Fraction numerator/denominator for a positive denominator: the
+    pair divided by its gcd, then built by `_fraction`."""
+    g = gcd(numerator, denominator)
+    return _fraction(numerator // g, denominator // g)
 
 
 def _make(nums: list[int], den: int) -> "TruncatedSeries":
@@ -93,9 +116,9 @@ class TruncatedSeries:
         except AttributeError:
             den = self._den
             if den == 1:
-                self._coeffs = tuple(map(Fraction, self._nums))
+                self._coeffs = tuple(map(_fraction, self._nums))
             else:
-                self._coeffs = tuple(Fraction(x, den) for x in self._nums)
+                self._coeffs = tuple(_reduced(x, den) for x in self._nums)
             return self._coeffs
 
     def coefficient(self, k: int) -> Fraction:
@@ -258,7 +281,7 @@ class TruncatedSeries:
         degree below its order.  A series that fills the whole window gets
         False even if it happens to be a polynomial of higher degree.
         """
-        return Fraction(sum(self._nums), self._den), self._nums[-1] == 0
+        return _reduced(sum(self._nums), self._den), self._nums[-1] == 0
 
     # -- comparison, hashing, rendering ------------------------------------
 
@@ -286,8 +309,9 @@ class TruncatedSeries:
         return f"TruncatedSeries({[str(c) for c in self.coeffs]}, order={self.order})"
 
     def __str__(self) -> str:
+        # an integral series renders its int numerators, as to_json_dict does
         out = []
-        for k, c in enumerate(self.coeffs):
+        for k, c in enumerate(self._nums if self._den == 1 else self.coeffs):
             if c == 0:
                 continue
             if out:

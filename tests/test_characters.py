@@ -638,7 +638,19 @@ class TestIrrepSpec:
         assert IrrepSpec("soEven", k=4, p=2, chirality="last").algebra == "so(8)"
         assert IrrepSpec("sp", k=3, p=1).algebra == "sp(6)"
         assert IrrepSpec("d21", p=2).algebra == "D(2,1;alpha)"
-        assert IrrepSpec("spinor", m=2, n=1).algebra == "osp(4|2)"
+        assert IrrepSpec("spinor", m=2, n=1).algebra == "osp(5|2)"
+
+    def test_spinor_is_the_odd_algebras_module_not_a_half_spinor(self):
+        # 2^m/(1-t)^n is the Fock space of m fermions and n bosons, the
+        # spinor [0,...,0,1] of osp(2m+1|2n); the osp(2m|2n) spec of that
+        # label is a half-spinor, 2 and not 4 at m = 2, n = 0
+        spinor = IrrepSpec("spinor", m=2, n=0)
+        half = IrrepSpec("ospD", m=2, n=0, p=1)
+        odd = IrrepSpec("ospB", m=2, n=0, p=1)
+        assert spinor.describe() != half.describe()
+        assert spinor.describe() == odd.describe() == "[0,1] osp(5|0)"
+        assert spinor_sdim(2, 0) == 4 == ospB_sdim_t(2, 0, 1, 4).eval_at_one()[0]
+        assert ospD_sdim_t(2, 0, 1, 4).eval_at_one()[0] == 2
 
     def test_labels(self):
         assert IrrepSpec("osp1", n=3, p=2).label == "[0,0,-2]"

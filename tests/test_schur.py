@@ -581,3 +581,16 @@ class TestWeylTable:
         n = sys.getrecursionlimit() + 100
         assert dim_gl_weyl(n, Partition([1] * n)) == 1
         assert sdim_gl(0, n, Partition([n])) == (-1) ** n
+
+    @pytest.mark.parametrize("n", [1.5, 1.0, True, False, -1, "1", None])
+    def test_refuses_an_n_that_is_not_an_int_at_least_zero(self, n):
+        weyl_table.cache_clear()
+        # an int table equal to a refused n is held, so a bool or a float
+        # must not read it from the cache
+        held = weyl_table(1), weyl_table(0)
+        with pytest.raises(ValueError, match="n must be an int >= 0"):
+            weyl_table(n)
+        assert weyl_table.cache_info().currsize == len(held)
+        # once failed from inside a row with an AssertionError
+        with pytest.raises(ValueError, match="n must be an int >= 0"):
+            weyl_table(n).dim((1,))

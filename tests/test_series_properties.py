@@ -1,6 +1,7 @@
 """Property-based tests of the series core, checked against a plain
-Fraction reference for products and quotients, and against long division
-for the running sums of `over_one_minus`."""
+Fraction reference for products and quotients, against long division for
+the running sums of `over_one_minus`, and against the public Fraction
+constructor for the Fractions the series reads back."""
 
 from fractions import Fraction
 from math import gcd
@@ -10,7 +11,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from ospdim.series import TruncatedSeries, polynomial  # noqa: E402
+from ospdim.series import TruncatedSeries, _fraction, polynomial  # noqa: E402
+from test_series import reference_str  # noqa: E402
 
 MAX_ORDER = 12
 CHECKS = settings(max_examples=60, deadline=None)
@@ -205,3 +207,86 @@ def test_over_one_minus_refuses_bad_j(j):
 def test_over_one_minus_refuses_bad_times(times):
     with pytest.raises(ValueError):
         TruncatedSeries([1, 2, 3]).over_one_minus(1, times)
+
+
+# -- the Fractions read back: built from the stored pair, as Fraction(x, den)
+
+# numerators past 2^64 too, so the gcd and the hash meet big ints
+numerators = st.one_of(st.just(0), st.integers(-30, 30), st.integers(-(2**200), 2**200))
+denominators = st.one_of(st.just(1), st.integers(1, 12), st.integers(1, 2**100))
+
+
+@st.composite
+def boundary_series(draw):
+    """A series given as Fractions x/den over one drawn denominator, integral
+    at den = 1, and the Fractions it was given."""
+    order = draw(st.integers(0, MAX_ORDER))
+    den = draw(denominators)
+    nums = draw(st.lists(numerators, min_size=order + 1, max_size=order + 1))
+    given = [Fraction(x, den) for x in nums]
+    return TruncatedSeries(given, order), given
+
+
+def assert_same_fraction(got, want):
+    assert type(got) is Fraction and type(want) is Fraction
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    assert got == want and hash(got) == hash(want)
+    assert str(got) == str(want) and repr(got) == repr(want)
+    for other in (want, 2, Fraction(-1, 3)):
+        assert got + other == want + other
+        assert got - other == want - other
+        assert got * other == want * other
+        assert (got < other) == (want < other)
+        if other:
+            assert got / other == want / other
+    assert -got == -want and abs(got) == abs(want)
+    assert type(got + 1) is Fraction and type(got * got) is Fraction
+
+
+@CHECKS
+@given(boundary_series())
+def test_coeffs_are_the_fractions_the_constructor_builds(drawn):
+    s, given = drawn
+    assert lowest_terms(s)
+    for k, (got, want) in enumerate(zip(s.coeffs, given)):
+        assert_same_fraction(got, Fraction(s._nums[k], s._den))
+        assert_same_fraction(got, want)
+        assert_same_fraction(s.coefficient(k), want)
+    assert len(s.coeffs) == len(given)
+
+
+@CHECKS
+@given(boundary_series())
+def test_eval_at_one_is_the_fraction_of_the_sum(drawn):
+    s, given = drawn
+    value, is_poly = s.eval_at_one()
+    assert_same_fraction(value, Fraction(sum(s._nums), s._den))
+    assert_same_fraction(value, sum(given, Fraction(0)))
+    assert is_poly == (given[-1] == 0)
+
+
+@CHECKS
+@given(boundary_series())
+def test_text_is_that_of_the_given_fractions(drawn):
+    s, given = drawn
+    # an integral series renders its int numerators, a rational one its coeffs
+    assert str(s) == reference_str(given)
+    assert repr(s) == f"TruncatedSeries({[str(c) for c in given]}, order={s.order})"
+
+
+@CHECKS
+@given(numerators, denominators)
+def test_fraction_helper_equals_the_constructor_on_lowest_terms(x, den):
+    want = Fraction(x, den)
+    assert_same_fraction(_fraction(want.numerator, want.denominator), want)
+
+
+def test_fraction_still_keeps_its_value_in_the_two_slots_the_helper_fills():
+    # `_fraction` fills _numerator and _denominator and nothing else; a
+    # Python whose Fraction keeps other state, or other names, fails here
+    slots = [name for cls in Fraction.__mro__ for name in vars(cls).get("__slots__", ())]
+    assert sorted(slots) == ["_denominator", "_numerator"]
+    assert not hasattr(Fraction(1), "__dict__")
+    f = Fraction(6, -4)
+    assert (f._numerator, f._denominator) == (-3, 2)
+    assert_same_fraction(_fraction(-3, 2), f)
