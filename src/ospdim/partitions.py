@@ -3,8 +3,10 @@ used by the character sums.
 
 A partition is stored as a weakly decreasing tuple of positive parts; trailing
 zeros are stripped on construction, so the zero partition is the empty tuple.
-A part or Frobenius coordinate must be an int: a float, string or bool raises
-ValueError rather than being rounded or cast.
+A part or Frobenius coordinate must be an int >= 0, as every bound must:
+`series._check_int` refuses a float, string, bool or negative value with
+ValueError "{name} must be an int >= 0, got {value!r}" rather than rounding
+or casting it.
 
 The non-recursive depth-first walker `_preorder` walks the tree in which a
 partition's children append one part no larger than its last.  Sibling batches
@@ -40,14 +42,7 @@ from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
-
-def _integers(values: Iterable[int], what: str) -> tuple[int, ...]:
-    """The values as a tuple; ValueError if one is not an int."""
-    values = tuple(values)
-    for v in values:
-        if type(v) is not int:
-            raise ValueError(f"{what} must be integers, got {v!r}")
-    return values
+from .series import _check_int
 
 
 def _check_partition(lam) -> None:
@@ -69,14 +64,14 @@ class Partition:
     __slots__ = ("_parts",)
 
     def __init__(self, parts: Iterable[int] = ()):
-        parts = _integers(parts, "parts")
+        parts = tuple(parts)
+        for v in parts:
+            _check_int("parts", v)
         while parts and parts[-1] == 0:
             parts = parts[:-1]
         for a, b in zip(parts, parts[1:]):
             if a < b:
                 raise ValueError(f"parts must be weakly decreasing, got {parts}")
-        if parts and parts[-1] < 0:
-            raise ValueError(f"parts must be non-negative, got {parts}")
         self._parts = parts
 
     @property
@@ -137,10 +132,11 @@ class Partition:
         """Hook length of box (i, j), rows and columns counted from 1.
 
         h(i,j) = lambda_i + lambda'_j - i - j + 1.  ValueError for a box
-        outside the diagram or a coordinate not an int, a bool included.
+        outside the diagram or a coordinate not an int >= 1, a bool included.
         """
-        _integers((i, j), "box coordinates")
-        if i < 1 or j < 1 or j > self[i - 1]:
+        _check_int("i", i, 1)
+        _check_int("j", j, 1)
+        if j > self[i - 1]:
             raise ValueError(f"box ({i},{j}) lies outside {self!r}")
         conj_j = sum(1 for p in self._parts if p >= j)
         return self._parts[i - 1] + conj_j - i - j + 1
@@ -172,13 +168,12 @@ class FrobeniusForm:
     legs: tuple[int, ...]
 
     def __post_init__(self):
-        arms = _integers(self.arms, "coordinates")
-        legs = _integers(self.legs, "coordinates")
+        arms, legs = tuple(self.arms), tuple(self.legs)
+        for x in arms + legs:
+            _check_int("coordinates", x)
         if len(arms) != len(legs):
             raise ValueError("arm and leg sequences must have equal length")
         for seq in (arms, legs):
-            if any(x < 0 for x in seq):
-                raise ValueError(f"coordinates must be non-negative, got {seq}")
             if any(x <= y for x, y in zip(seq, seq[1:])):
                 raise ValueError(f"coordinates must strictly decrease, got {seq}")
         object.__setattr__(self, "arms", arms)
@@ -219,9 +214,8 @@ def _check_bounds(
     """ValueError unless each bound is an int >= 0 or, for a name in
     nullable, None."""
     for name, bound in bounds.items():
-        unbounded = bound is None and name in nullable
-        if not unbounded and (type(bound) is not int or bound < 0):
-            raise ValueError(f"{name} must be an int >= 0, got {bound!r}")
+        if bound is not None or name not in nullable:
+            _check_int(name, bound)
 
 
 def _shapes(batches: Iterable[Batch]) -> Iterator[tuple[tuple[int, ...], int]]:

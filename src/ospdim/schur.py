@@ -19,11 +19,17 @@ one h row, sum_k h_k u^k = prod (1 + y_j u) / prod (1 - x_i u), and one e
 row, e_k(x | y) = h_k(y | x).  Each shape is then one integer Jacobi-Trudi
 determinant, the smaller of det(h_{lam_i-i+j}) on its rows and
 det(e_{lam'_i-i+j}) on its columns, as s_lam(x | y) = s_lam'(y | x)
-(Macdonald, Symmetric Functions and Hall Polynomials, I.3 and I.5), and
-each weight w's sum is divided by D^w once.  Littlewood-Richardson
-coefficients come from tableau enumeration, and no evaluation uses them.
+(Macdonald, Symmetric Functions and Hall Polynomials, I.3 and I.5).
+Weight w's sum is over D^w, so the series takes the sums over D^order as
+integer numerators and reduces them once, with no Fraction per weight.
+Littlewood-Richardson coefficients come from tableau enumeration, and no
+evaluation uses them.
 A shape that is not a Partition, or a form that is not a FrobeniusForm, is
-refused with ValueError.
+refused with ValueError.  So are a rank or an order that breaks
+`series._check_int`'s rule, an int and never a bool, at least 1 for the
+gl(n) formulas' n and at least 0 otherwise, with its one message "{name}
+must be an int >= {low}, got {value!r}", and a coordinate that is not an
+int or a Fraction, never a bool (`series._is_scalar`).
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from typing import Iterable, Mapping, Sequence
 
 # subpartitions stays importable here for bench/layertrace.py
 from .partitions import FrobeniusForm, Partition, _check_partition, subpartitions
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _check_int, _is_scalar, _make, _reduced
 
 
 class _WeylTable(dict):
@@ -122,8 +128,7 @@ def weyl_table(n: int) -> _WeylTable:
     parent + (c,), and `weyl_table(n).dim(parts)` that of a shape.  Any
     other n, a bool included, is refused with ValueError and no table is
     kept."""
-    if type(n) is not int or n < 0:
-        raise ValueError(f"n must be an int >= 0, got {n!r}")
+    _check_int("n", n)
     return _WeylTable(n)
 
 
@@ -131,8 +136,7 @@ def dim_gl_weyl(n: int, lam: Partition) -> int:
     """Dimension of the gl(n) irrep with highest weight lam, n >= 1, by the
     Weyl product read from the rows of `weyl_table(n)`; a partition longer
     than n rows is not a gl(n) highest weight and gives 0."""
-    if type(n) is not int or n <= 0:
-        raise ValueError(f"n must be a positive int, got {n!r}")
+    _check_int("n", n, 1)
     _check_partition(lam)
     return weyl_table(n).dim(lam.parts)
 
@@ -144,8 +148,7 @@ def dim_gl_hook(n: int, lam: Partition) -> int:
     A content factor vanishes as soon as the diagram has more than n rows,
     so overlong partitions give 0 without a special case.
     """
-    if type(n) is not int or n <= 0:
-        raise ValueError(f"n must be a positive int, got {n!r}")
+    _check_int("n", n, 1)
     _check_partition(lam)
     num = 1
     den = 1
@@ -169,8 +172,7 @@ def dim_gl_frobenius(n: int, form: FrobeniusForm) -> int:
     factors n - b_k .. n + a_k, math.perm, never two factorials of n.
     Any leg of length n or more means more than n rows, hence 0.
     """
-    if type(n) is not int or n <= 0:
-        raise ValueError(f"n must be a positive int, got {n!r}")
+    _check_int("n", n, 1)
     if not isinstance(form, FrobeniusForm):
         raise ValueError(f"form must be a FrobeniusForm, got {form!r}")
     arms, legs = form.arms, form.legs
@@ -202,8 +204,8 @@ def sdim_gl(m: int, n: int, lam: Partition) -> int:
     branches vanish outside the (m,n) fat hook, and for m = n every
     non-empty lam gives 0.
     """
-    if type(m) is not int or type(n) is not int or m < 0 or n < 0:
-        raise ValueError(f"m and n must be non-negative ints, got {m!r} and {n!r}")
+    _check_int("m", m)
+    _check_int("n", n)
     _check_partition(lam)
     if m >= n:
         return weyl_table(m - n).dim(lam.parts)
@@ -331,10 +333,10 @@ def super_schur_series(
     coordinate that is not an int or a Fraction, a bool included, are a
     ValueError.
     """
-    if type(order) is not int or order < 0:
-        raise ValueError(f"order must be an int >= 0, got {order!r}")
+    _check_int("order", order)
     sums, d = _jacobi_trudi_sums(shapes, xs, ys, order)
-    return TruncatedSeries([Fraction(s, d**w) for w, s in enumerate(sums)], order)
+    # weight w's sum is over D^w, so over D^order it gains D^(order - w)
+    return _make([s * d ** (order - w) for w, s in enumerate(sums)], d**order)
 
 
 def _jacobi_trudi_sums(
@@ -345,7 +347,7 @@ def _jacobi_trudi_sums(
     xs, ys = list(xs), list(ys)
     coords = xs + ys
     for c in coords:
-        if type(c) is bool or not isinstance(c, (int, Fraction)):
+        if not _is_scalar(c):
             raise ValueError(f"coordinates must be ints or Fractions, got {c!r}")
     m, n = len(xs), len(ys)
     sums = [0] * (order + 1)
@@ -403,4 +405,4 @@ def super_schur_eval(lam: Partition, xs: Sequence, ys: Sequence) -> Fraction:
     _check_partition(lam)
     w = lam.weight
     sums, d = _jacobi_trudi_sums((lam,), xs, ys, w)
-    return Fraction(sums[w], d**w)
+    return _reduced(sums[w], d**w)

@@ -147,7 +147,8 @@ def _check_osp1_series() -> None:
     for p, text in want.items():
         s = osp1_dim_t(3, p, 4, route="sum")
         _expect(str(s), text, f"osp(1|6) t-dimension p={p}")
-    for n in range(1, 5):
+    # n up to 6 reaches over_one_minus's binomial path and the gl(6) kernel
+    for n in range(1, 7):
         for p in range(4):
             a = osp1_dim_t(n, p, 12, route="sum")
             b = osp1_dim_t(n, p, 12, route="closed")
@@ -197,6 +198,18 @@ def _check_ospD() -> None:
     _expect(
         so_even_dim_t(5, 1, "last", 10).eval_at_one()[0], Fraction(16), "so(10) other chirality total"
     )
+    # p = 2: so(6)'s [0,0,2] and [0,2,0] are Sym^2 C^4 and its dual, so(8)'s two are 35-dimensional
+    for k, total in ((3, 10), (4, 35)):
+        for chirality in ("last", "next_to_last"):
+            _expect(
+                so_even_dim_t(k, 2, chirality, 12).eval_at_one(),
+                (Fraction(total), True),
+                f"so({2 * k}) p=2 {chirality} total",
+            )
+    # at odd k the head-row chirality is "last", the dual of the doubled one,
+    # and its levels are the doubled one's reversed
+    doubled = so_even_dim_t(3, 2, "next_to_last", 12).coeffs
+    _expect(so_even_dim_t(3, 2, "last", 12), polynomial(doubled[4::-1], 12), "so(6) p=2 duality")
 
 
 def _check_sp() -> None:

@@ -18,6 +18,14 @@ binomial series of (1 - x)^-e.
 
 Arithmetic between series of different orders truncates to the smaller order,
 which is recorded in the result; nothing is ever rounded.
+
+This module also holds the two number rules of the layers below the family
+tables.  `_check_int` wants an int, never a bool, at least a bound (0 unless
+said), and refuses anything else with ValueError "{name} must be an int >=
+{low}, got {value!r}": an order, exponent, rank, part or partition bound.
+`_is_scalar` accepts an int or a Fraction, never a bool: a coefficient, a
+scalar factor or a Schur coordinate.  The constructor checks every
+coefficient it is given, also those past the order it keeps.
 """
 
 from __future__ import annotations
@@ -31,6 +39,18 @@ from typing import Iterable, Mapping, Sequence, Union
 DEFAULT_ORDER = 16
 
 Scalar = Union[int, Fraction]
+
+
+def _check_int(name: str, value, low: int = 0) -> None:
+    """ValueError unless value is an int, never a bool, at least low: the
+    one rule for every count, order, rank and bound below the tables."""
+    if type(value) is not int or value < low:
+        raise ValueError(f"{name} must be an int >= {low}, got {value!r}")
+
+
+def _is_scalar(x) -> bool:
+    """Whether x is an exact coefficient: an int or a Fraction, never a bool."""
+    return type(x) is not bool and isinstance(x, (int, Fraction))
 
 
 def _fraction(numerator: int, denominator: int = 1) -> Fraction:
@@ -75,17 +95,17 @@ class TruncatedSeries:
         cs = list(coeffs)
         if order is None:
             order = max(len(cs) - 1, 0)
-        if type(order) is not int or order < 0:
-            raise ValueError(f"order must be an int >= 0, got {order!r}")
-        del cs[order + 1 :]
+        _check_int("order", order)
         den = 1
         if not all(type(c) is int for c in cs):
+            # every coefficient given is checked, also those past the order
             for c in cs:
-                if type(c) is bool or not isinstance(c, (int, Fraction)):
+                if not _is_scalar(c):
                     raise ValueError(f"coefficients must be ints or Fractions, got {c!r}")
-            fs = [c if type(c) is Fraction else Fraction(c) for c in cs]
-            den = lcm(*(f.denominator for f in fs))
-            cs = [f.numerator * (den // f.denominator) for f in fs]
+            cs = cs[: order + 1]
+            den = lcm(*(c.denominator for c in cs))
+            cs = [c.numerator * (den // c.denominator) for c in cs]
+        del cs[order + 1 :]
         cs.extend([0] * (order + 1 - len(cs)))
         # with den the lcm of reduced denominators the numerators are coprime to it
         self._nums = tuple(cs)
@@ -101,9 +121,10 @@ class TruncatedSeries:
 
     @classmethod
     def monomial(cls, k: int, coeff: Scalar = 1, order: int = DEFAULT_ORDER) -> "TruncatedSeries":
-        if type(k) is not int or k < 0:
-            raise ValueError(f"exponent must be an int >= 0, got {k!r}")
-        return cls([0] * k + [coeff] if k <= order else (), order)
+        _check_int("exponent", k)
+        _check_int("order", order)
+        # past the order the coefficient still goes to the constructor's check
+        return cls([0] * min(k, order + 1) + [coeff], order)
 
     @property
     def order(self) -> int:
@@ -159,10 +180,9 @@ class TruncatedSeries:
 
     def __mul__(self, other: Union["TruncatedSeries", Scalar]) -> "TruncatedSeries":
         # a bool is refused as a float is: NotImplemented, so TypeError
-        if isinstance(other, (int, Fraction)) and type(other) is not bool:
-            c = Fraction(other)
-            num = c.numerator
-            return _make([x * num for x in self._nums], self._den * c.denominator)
+        if _is_scalar(other):
+            num = other.numerator
+            return _make([x * num for x in self._nums], self._den * other.denominator)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         n = min(self.order, other.order)
@@ -179,8 +199,8 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
     def __truediv__(self, other: Union["TruncatedSeries", Scalar]) -> "TruncatedSeries":
-        if isinstance(other, (int, Fraction)) and type(other) is not bool:
-            return self * (Fraction(1) / Fraction(other))
+        if _is_scalar(other):
+            return self * Fraction(other.denominator, other.numerator)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         b = other._nums
@@ -230,10 +250,8 @@ class TruncatedSeries:
         the one before times (times - 1 + i) / i.  Either way the map is
         unimodular, so the numerators stay coprime to the denominator and
         `_make` has nothing to reduce."""
-        if type(j) is not int or j < 1:
-            raise ValueError(f"j must be an int >= 1, got {j!r}")
-        if type(times) is not int or times < 0:
-            raise ValueError(f"times must be an int >= 0, got {times!r}")
+        _check_int("j", j, 1)
+        _check_int("times", times)
         nums = list(self._nums)
         size = -(-len(nums) // j)  # the length of the longest class, nums[0::j]
         if times >= size:

@@ -44,7 +44,7 @@ class TestPartitionBasics:
 
     @pytest.mark.parametrize("parts", [[2.5, 1], [2.0, 1], ["3", 1], [3, True], [Fraction(2), 1]])
     def test_rejects_a_part_that_is_not_an_int(self, parts):
-        with pytest.raises(ValueError, match="parts must be integers"):
+        with pytest.raises(ValueError, match="parts must be an int >= 0"):
             Partition(parts)
 
     def test_zero_padded_indexing(self):
@@ -146,7 +146,7 @@ class TestFrobenius:
 
     @pytest.mark.parametrize("arms, legs", [([1.5], [0]), ([1], ["0"]), ([True], [0]), ([1.0], [0])])
     def test_rejects_a_coordinate_that_is_not_an_int(self, arms, legs):
-        with pytest.raises(ValueError, match="coordinates must be integers"):
+        with pytest.raises(ValueError, match="coordinates must be an int >= 0"):
             FrobeniusForm(arms, legs)
 
 

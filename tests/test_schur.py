@@ -20,6 +20,7 @@ from ospdim.schur import (
     weyl_table,
     _WeylTable,
 )
+from ospdim.series import TruncatedSeries
 
 
 def ssyt_fillings(lam, n):
@@ -184,9 +185,9 @@ class TestGlDimensions:
         # a float rank once gave a float dimension, or an AssertionError
         for n in (2.0, 2.5, True):
             for fn in (dim_gl_weyl, dim_gl_hook):
-                with pytest.raises(ValueError, match="positive int"):
+                with pytest.raises(ValueError, match="n must be an int >= 1"):
                     fn(n, Partition([1]))
-            with pytest.raises(ValueError, match="positive int"):
+            with pytest.raises(ValueError, match="n must be an int >= 1"):
                 dim_gl_frobenius(n, FrobeniusForm([0], [0]))
 
     def test_rectangular_and_column(self):
@@ -223,7 +224,7 @@ class TestSuperdimensions:
 
     def test_rejects_a_rank_that_is_not_an_int(self):
         for m, n in [(True, 0), (0, False), (2.0, 1), (1, 1.5)]:
-            with pytest.raises(ValueError, match="non-negative ints"):
+            with pytest.raises(ValueError, match="must be an int >= 0"):
                 sdim_gl(m, n, Partition([1]))
 
 
@@ -468,6 +469,27 @@ class TestSuperSchurSeries:
     def test_refuses_a_shape_heavier_than_the_order(self):
         with pytest.raises(ValueError, match=r"shape \(2,2\) is heavier than the order 3"):
             super_schur_series([Partition([1]), Partition([2, 2])], [1], [], 3)
+
+    def test_builds_no_fraction(self, monkeypatch):
+        # the weights' sums go to the series as integers over D^order, and the
+        # constructor reads numerator and denominator off ints and Fractions
+        xs, ys, half = [Fraction(1, 2), Fraction(-2, 3)], [Fraction(3, 5)], Fraction(1, 2)
+        shapes = list(enum_partitions(5))
+        built = []
+        new = Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counted)
+        got = super_schur_series(shapes, xs, ys, 5)
+        series = TruncatedSeries([half, 3], 1)
+        monkeypatch.undo()
+        assert built == []
+        want = [sum(lr_super_schur(lam, xs, ys) for lam in shapes if lam.weight == w) for w in range(6)]
+        assert got.coeffs == tuple(want)
+        assert series.coeffs == (half, 3)
 
     @pytest.mark.parametrize("order", [-1, True, 1.5, None, "3"])
     def test_refuses_a_bad_order(self, order):

@@ -48,6 +48,12 @@ class TestConstruction:
         for cs in ([True, 2], [1, False], [Fraction(1, 2), True]):
             with pytest.raises(ValueError, match="coefficients must be ints or Fractions"):
                 TruncatedSeries(cs, 1)
+        # a coefficient past the kept order is checked too
+        for cs, order in (([1, 2, 0.5], 1), ([1, True], 0), ([1, 2, "x"], 1)):
+            with pytest.raises(ValueError, match="coefficients must be ints or Fractions"):
+                TruncatedSeries(cs, order)
+        with pytest.raises(ValueError, match="coefficients must be ints or Fractions"):
+            polynomial([1, 2, "x"], 1)
 
     def test_padding_and_truncation(self):
         s = TruncatedSeries([1, 2], 4)
@@ -63,6 +69,11 @@ class TestConstruction:
         for bad in (-1, 2.5, True):
             with pytest.raises(ValueError, match=f"exponent must be an int >= 0, got {bad}"):
                 TruncatedSeries.monomial(bad, 1, 4)
+        # past the order the coefficient is checked all the same, with no k zeros built
+        for coeff in (0.5, True, "1"):
+            with pytest.raises(ValueError, match="coefficients must be ints or Fractions"):
+                TruncatedSeries.monomial(9, coeff, 4)
+        assert TruncatedSeries.monomial(10**12, Fraction(1, 2), 3) == TruncatedSeries.zero(3)
 
     def test_rejects_negative_order(self):
         for bad in (-1, 2.5, True):
