@@ -105,7 +105,8 @@ class _WeylTable(dict):
             for h in hooks:
                 prod *= h - c
             dim, r = divmod(row[-1] * (c + shift) * prod, c * last)
-            assert r == 0, f"Weyl row of {parent}, n={self.n} did not divide evenly at {c}"
+            if r:
+                raise AssertionError(f"Weyl row of {parent}, n={self.n} did not divide evenly at {c}")
             row.append(dim)
             last = prod
         return row
@@ -157,7 +158,8 @@ def dim_gl_hook(n: int, lam: Partition) -> int:
             num *= n + j - i
             den *= lam.hook_length(i, j)
     q, r = divmod(num, den)
-    assert r == 0, f"hook-content product for {lam!r}, n={n} did not divide evenly"
+    if r:
+        raise AssertionError(f"hook-content product for {lam!r}, n={n} did not divide evenly")
     return q
 
 
@@ -192,7 +194,8 @@ def dim_gl_frobenius(n: int, form: FrobeniusForm) -> int:
         for b in legs:
             den *= a + b + 1
     q, rem = divmod(num, den)
-    assert rem == 0, f"Frobenius product for {form!r}, n={n} did not divide evenly"
+    if rem:
+        raise AssertionError(f"Frobenius product for {form!r}, n={n} did not divide evenly")
     return q
 
 

@@ -595,6 +595,17 @@ class TestCumminsKing:
             "first_divergence": None,
         }
 
+    def test_schur_side_off_at_u4_is_a_mismatch(self, monkeypatch):
+        real = characters._ck_schur_side
+
+        def off_by_one(xs, ys, order):
+            return real(xs, ys, order) + TruncatedSeries.monomial(4, 1, order)
+
+        monkeypatch.setattr(characters, "_ck_schur_side", off_by_one)
+        report = cummins_king_check(1, 1, order=6, trials=2)
+        assert (report.failed_trial, report.first_divergence, report.match) == (0, 4, False)
+        assert report.to_json_dict()["verdict"] == "mismatch"
+
     def test_verdict_is_derived_from_the_failed_trial(self):
         report = CumminsKingReport(1, 1, 4, 1, 1, failed_trial=0, first_divergence=3)
         assert not report.match

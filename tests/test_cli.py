@@ -416,6 +416,21 @@ class TestSelftest:
         assert payload["failed"] == 0
         assert payload["passed"] == len(payload["results"])
 
+    def test_a_failed_golden_reads_fail_and_exits_1(self, monkeypatch):
+        import ospdim.selftest as selftest_mod
+
+        monkeypatch.setattr(selftest_mod, "so_odd_dim_t", lambda k, p, order: TruncatedSeries.one(order))
+        result = run("selftest")
+        assert result.exit_code == 1
+        lines = result.output.splitlines()
+        assert [line for line in lines if not line.startswith("ok   ")] == [
+            "FAIL ospB-series (so(7) p=1 series: got 1, want 1 + 3t + 3t^2 + t^3)",
+            "15/16 checks passed",
+        ]
+        result = run("selftest", "--format", "json")
+        assert result.exit_code == 1
+        assert json.loads(result.output)["failed"] == 1
+
     def test_goldens_raise_no_series_to_a_power(self, monkeypatch):
         from ospdim.selftest import run_selftest
 
